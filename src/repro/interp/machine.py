@@ -19,10 +19,15 @@ to its matching ``end``, so structured branches are O(1) jumps.
 
 from __future__ import annotations
 
+import ast
+import functools
+import inspect
 import os
 import struct
 import sys
+import textwrap
 import time
+import types
 from typing import TYPE_CHECKING, Sequence
 
 from ..wasm.errors import ExhaustionError, ResourceExhausted, Trap, WasmError
@@ -382,6 +387,47 @@ def _coerce_host_result(valtype: ValType, value: int | float,
     return float(value)
 
 
+#: Set-up prepended to the profiled loop (see ``Machine._profiled_loop``).
+_PROFILE_PROLOGUE = """
+profiler = self._telemetry.profiler
+op_counts = profiler.op_counts
+pair_counts = profiler.pair_counts
+n_opcodes = len(op_counts)
+executed = 0
+# opcode-pair tracking: two instructions executed back to back at
+# adjacent pcs form one fusible pair (prev_base = prev_op * n_opcodes)
+prev_pc = -2
+prev_base = 0
+profiler.enter(wfunc.name)
+"""
+
+#: Counting block inserted after the profiled loop's ``op = ins[0]``.
+_PROFILE_COUNT = """
+if op == 51:  # OP_QUICK: resolve the trampoline *before* counting, so
+    # the twin is charged exactly once per execution (never both)
+    ins = code[pc] = ins[1]
+    op = ins[0]
+op_counts[op] += 1
+if prev_pc + 1 == pc:
+    pair_counts[prev_base + op] += 1
+prev_pc = pc
+prev_base = op * n_opcodes
+executed += 1
+profiler.ticks = ticks = profiler.ticks + 1
+if ticks >= profiler.next_sample:
+    profiler.sample()
+"""
+
+
+def _parse_at(source: str, anchor: ast.AST) -> list[ast.stmt]:
+    """``source`` parsed as statements, every node placed on ``anchor``'s line."""
+    module = ast.parse(source)
+    for node in ast.walk(module):
+        if hasattr(node, "lineno"):
+            node.lineno = node.end_lineno = anchor.lineno
+    return module.body
+
+
 class Machine:
     """Executes instances. One machine may host several instances.
 
@@ -405,9 +451,10 @@ class Machine:
     the engines charge its raw counters (calls, taken branches, traps,
     memory.grow) at exactly the Meter's charge sites, under the same
     hoisted ``is not None`` guard discipline — no telemetry, no cost. A
-    telemetry with an attached profiler additionally reroutes pre-decoded
-    execution through the counting loop (:meth:`_exec_profiled`) and makes
-    new instances decode *unfused* so opcode counts attribute 1:1.
+    telemetry with an attached profiler additionally binds the counting
+    variant of the pre-decoded loop — generated from :meth:`_exec_decoded`
+    itself on first use (:meth:`_profiled_loop`) — and makes new instances
+    decode *unfused* so opcode counts attribute 1:1.
 
     ``replay`` attaches a :class:`~repro.interp.replay.Recorder` or
     :class:`~repro.interp.replay.Replayer`: host-function calls (except
@@ -481,8 +528,9 @@ class Machine:
                 "(Machine(predecode=True))")
         self._telemetry = telemetry
         self._profiling = telemetry.profiler is not None
-        self._run_decoded = (self._exec_profiled if self._profiling
-                             else self._exec_decoded)
+        self._run_decoded = (
+            types.MethodType(self._profiled_loop(), self) if self._profiling
+            else self._exec_decoded)
         replay = self._replay
         if replay is not None and replay.is_replaying:
             replay.telemetry = telemetry
@@ -492,7 +540,9 @@ class Machine:
 
         Attach *before* instantiating modules when profiling: only
         instances created while a profiler is attached decode unfused for
-        1:1 opcode attribution.
+        1:1 opcode attribution. Earlier instances run correctly under the
+        profiler too (it counts by the same loop), but their fused,
+        quickened and segment slots are counted as one slot each.
         """
         if telemetry is self._telemetry:
             return
@@ -1205,457 +1255,40 @@ class Machine:
 
     # -- the profiled interpreter loop --------------------------------------------
 
-    def _exec_profiled(self, wfunc: WasmFunction,
-                       args: list[int | float]) -> list[int | float]:
-        """Counting twin of :meth:`_exec_decoded` for the self-profiler.
+    @staticmethod
+    @functools.cache
+    def _profiled_loop():
+        """The self-profiler's counting loop, derived from :meth:`_exec_decoded`.
 
-        Identical observable semantics; additionally counts every executed
-        instruction into the profiler's dense per-opcode array, attributes
-        executed counts to the running function frame, and samples the live
-        call stack every ``sample_interval`` instructions. Only bound as
-        ``_run_decoded`` when the attached telemetry carries a profiler, so
-        ordinary runs never pay for the counting.
-
-        Functions instantiated under the profiler decode unfused, so the
-        fused-pair opcodes normally never appear here; handlers for them
-        are kept (counted under the ``fused`` class) so instances created
-        *before* the profiler was attached still execute correctly.
+        There is one interpreter loop to edit. On first profiled use (once per
+        process) the source of ``_exec_decoded`` is parsed and rewritten:
+        :data:`_PROFILE_PROLOGUE` runs before the body, the body is wrapped in
+        ``try/finally: profiler.exit(executed)``, and :data:`_PROFILE_COUNT`
+        is inserted right after the ``op = ins[0]`` dispatch read, so every
+        slot the loop can execute — plain, fused, quickened or segment — is
+        counted and then run by the very same handler. Line numbers are
+        those of ``machine.py``, so tracebacks point at real source lines.
         """
-        profiler = self._telemetry.profiler
-        op_counts = profiler.op_counts
-        pair_counts = profiler.pair_counts
-        interval = profiler.sample_interval
-        instance = wfunc.instance
-        code = wfunc.decoded.code
-        functions = instance.functions
-        globals_ = instance.globals
-        memory = instance.memory
-        table = instance.table
-        memdata = memory.data if memory is not None else None
-        locals_ = args + wfunc.default_locals
-        stack: list[int | float] = []
-        append = stack.append
-        pop = stack.pop
-        unpack_from = struct.unpack_from
-        pack_into = struct.pack_into
-        result_arity = wfunc.result_arity
-        meter = self._meter
-        tele = self._telemetry
-        n_instrs = len(code)
-        labels: list[tuple[bool, int, int, int, int]] = [
-            (False, -1, n_instrs, 0, result_arity)
-        ]
-        pc = 0
-        executed = 0
-        # opcode-pair tracking: two instructions executed back to back at
-        # adjacent pcs form one fusible pair (prev_base = prev_op * N)
-        prev_pc = -2
-        prev_base = 0
-        n_opcodes = len(op_counts)
-
-        profiler.enter(wfunc.name)
-        try:
-            while pc < n_instrs:
-                ins = code[pc]
-                op = ins[0]
-                if op == 51:  # OP_QUICK: resolve the trampoline *before*
-                    # counting, so the twin is charged exactly once per
-                    # execution (never the trampoline plus the twin)
-                    ins = code[pc] = ins[1]
-                    op = ins[0]
-                op_counts[op] += 1
-                if prev_pc + 1 == pc:
-                    pair_counts[prev_base + op] += 1
-                prev_pc = pc
-                prev_base = op * n_opcodes
-                executed += 1
-                profiler.ticks = ticks = profiler.ticks + 1
-                if ticks >= profiler.next_sample:
-                    profiler.sample()
-
-                if op == 0:  # OP_GET_LOCAL
-                    append(locals_[ins[1]])
-                elif op == 1:  # OP_BINARY
-                    b = pop()
-                    stack[-1] = ins[1](stack[-1], b)
-                elif op == 2:  # OP_CONST
-                    append(ins[1])
-                elif op == 3:  # OP_SET_LOCAL
-                    locals_[ins[1]] = pop()
-                elif op == 30:  # OP_GET_LOCAL_CONST (fused)
-                    append(locals_[ins[1]])
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 31:  # OP_CONST_BINARY (fused)
-                    stack[-1] = ins[1](stack[-1], ins[2])
-                    pc += 2
-                    continue
-                elif op == 32:  # OP_GET_LOCAL_BINARY (fused)
-                    stack[-1] = ins[1](stack[-1], locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 33:  # OP_GET2_LOCAL (fused)
-                    append(locals_[ins[1]])
-                    append(locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 35:  # OP_BINARY_CONST (fused)
-                    b = pop()
-                    stack[-1] = ins[1](stack[-1], b)
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 36:  # OP_BINARY_BINARY (fused)
-                    b = pop()
-                    a = pop()
-                    stack[-1] = ins[2](stack[-1], ins[1](a, b))
-                    pc += 2
-                    continue
-                elif op == 37:  # OP_BINARY_GET_LOCAL (fused)
-                    b = pop()
-                    stack[-1] = ins[1](stack[-1], b)
-                    append(locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 38:  # OP_CONST_GET_LOCAL (fused)
-                    append(ins[1])
-                    append(locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 39:  # OP_CONST_CONST (fused)
-                    append(ins[1])
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 40:  # OP_BINARY_SET_LOCAL (fused)
-                    b = pop()
-                    locals_[ins[2]] = ins[1](pop(), b)
-                    pc += 2
-                    continue
-                elif op == 41:  # OP_BINARY_UNARY (fused)
-                    b = pop()
-                    stack[-1] = ins[2](ins[1](stack[-1], b))
-                    pc += 2
-                    continue
-                elif op == 42:  # OP_UNARY_BR_IF (fused)
-                    if ins[1](pop()):
-                        if meter is not None:
-                            meter.branch(len(stack))
-                        tele.n_branches += 1
-                        is_loop, block_pc, cont_pc, height, arity = \
-                            labels[-1 - ins[2]]
-                        if is_loop:
-                            del stack[height:]
-                            del labels[len(labels) - 1 - ins[2]:]
-                            pc = block_pc
-                            continue
-                        if arity:
-                            carried = stack[len(stack) - arity:]
-                            del stack[height:]
-                            stack.extend(carried)
-                        else:
-                            del stack[height:]
-                        del labels[len(labels) - 1 - ins[2]:]
-                        pc = cont_pc
-                        continue
-                    pc += 2
-                    continue
-                elif op == 43:  # OP_BINARY_LOAD_FLOAT (fused)
-                    b = pop()
-                    addr = ins[1](pop(), b) + ins[3]
-                    try:
-                        append(unpack_from(ins[2], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[2], addr, memdata, "load")) from None
-                    pc += 2
-                    continue
-                elif op == 44:  # OP_BINARY_LOAD_INT (fused)
-                    b = pop()
-                    addr = ins[1](pop(), b) + ins[3]
-                    try:
-                        append(unpack_from(ins[2], memdata, addr)[0] & ins[4])
-                    except struct.error:
-                        raise Trap(self._oob(ins[2], addr, memdata, "load")) from None
-                    pc += 2
-                    continue
-                elif op == 45:  # OP_BINARY_STORE_FLOAT (fused)
-                    b = pop()
-                    value = ins[1](pop(), b)
-                    addr = pop() + ins[3]
-                    try:
-                        pack_into(ins[2], memdata, addr, value)
-                    except struct.error:
-                        raise Trap(self._oob(ins[2], addr, memdata, "store")) from None
-                    pc += 2
-                    continue
-                elif op == 46:  # OP_BINARY_STORE_INT (fused)
-                    b = pop()
-                    value = ins[1](pop(), b)
-                    addr = pop() + ins[3]
-                    try:
-                        pack_into(ins[2], memdata, addr, value & ins[4])
-                    except struct.error:
-                        raise Trap(self._oob(ins[2], addr, memdata, "store")) from None
-                    pc += 2
-                    continue
-                elif op == 47:  # OP_LOAD_FLOAT_BINARY (fused)
-                    addr = pop() + ins[2]
-                    try:
-                        stack[-1] = ins[3](stack[-1],
-                                           unpack_from(ins[1], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                    pc += 2
-                    continue
-                elif op == 48:  # OP_LOAD_INT_BINARY (fused)
-                    addr = pop() + ins[2]
-                    try:
-                        stack[-1] = ins[4](stack[-1],
-                                           unpack_from(ins[1], memdata, addr)[0]
-                                           & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                    pc += 2
-                    continue
-                elif op == 49:  # OP_SET_LOCAL_CONST (fused)
-                    locals_[ins[1]] = pop()
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 50:  # OP_LOAD_FLOAT_CONST (fused)
-                    addr = pop() + ins[2]
-                    try:
-                        append(unpack_from(ins[1], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                    append(ins[3])
-                    pc += 2
-                    continue
-                elif op == 52:  # OP_QLOAD (quickened)
-                    addr = pop() + ins[2]
-                    try:
-                        append(ins[1](memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[3], addr, memdata, "load")) from None
-                elif op == 53:  # OP_QLOAD_MASK (quickened)
-                    addr = pop() + ins[2]
-                    try:
-                        append(ins[1](memdata, addr)[0] & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[4], addr, memdata, "load")) from None
-                elif op == 54:  # OP_QSTORE (quickened)
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        ins[1](memdata, addr, value)
-                    except struct.error:
-                        raise Trap(self._oob(ins[3], addr, memdata, "store")) from None
-                elif op == 55:  # OP_QSTORE_MASK (quickened)
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        ins[1](memdata, addr, value & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[4], addr, memdata, "store")) from None
-                elif op == 56:  # OP_CALL_INDIRECT_IC (quickened)
-                    table_idx = pop()
-                    cell = ins[3]
-                    if cell[0] == table_idx and \
-                            table.entries[table_idx] == cell[1]:
-                        callee = cell[2]
-                    else:
-                        func_addr = table.get(table_idx)
-                        callee = functions[func_addr]
-                        if callee.functype != ins[1]:
-                            raise Trap(
-                                f"indirect call type mismatch: entry {table_idx} "
-                                f"has {callee.functype}, expected {ins[1]}")
-                        cell[0] = table_idx
-                        cell[1] = func_addr
-                        cell[2] = callee
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    results = self._invoke_callee(callee, call_args)
-                    if results:
-                        stack.extend(results)
-                elif op == 34:  # OP_HOOK
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    ins[1](call_args)
-                    pc += ins[3]
-                    continue
-                elif op == 4:  # OP_LOAD_INT
-                    addr = pop() + ins[2]
-                    try:
-                        append(unpack_from(ins[1], memdata, addr)[0] & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                elif op == 5:  # OP_LOAD_FLOAT
-                    addr = pop() + ins[2]
-                    try:
-                        append(unpack_from(ins[1], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                elif op == 6:  # OP_STORE_INT
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        pack_into(ins[1], memdata, addr, value & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "store")) from None
-                elif op == 7:  # OP_STORE_FLOAT
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        pack_into(ins[1], memdata, addr, value)
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "store")) from None
-                elif op == 8:  # OP_BR_IF
-                    if pop():
-                        if meter is not None:
-                            meter.branch(len(stack))
-                        tele.n_branches += 1
-                        is_loop, block_pc, cont_pc, height, arity = labels[-1 - ins[1]]
-                        if is_loop:
-                            del stack[height:]
-                            del labels[len(labels) - 1 - ins[1]:]
-                            pc = block_pc
-                            continue
-                        if arity:
-                            carried = stack[len(stack) - arity:]
-                            del stack[height:]
-                            stack.extend(carried)
-                        else:
-                            del stack[height:]
-                        del labels[len(labels) - 1 - ins[1]:]
-                        pc = cont_pc
-                        continue
-                elif op == 9:  # OP_UNARY
-                    stack[-1] = ins[1](stack[-1])
-                elif op == 10:  # OP_TEE_LOCAL
-                    locals_[ins[1]] = stack[-1]
-                elif op == 11:  # OP_BR
-                    if meter is not None:
-                        meter.branch(len(stack))
-                    tele.n_branches += 1
-                    is_loop, block_pc, cont_pc, height, arity = labels[-1 - ins[1]]
-                    if is_loop:
-                        del stack[height:]
-                        del labels[len(labels) - 1 - ins[1]:]
-                        pc = block_pc
-                        continue
-                    if arity:
-                        carried = stack[len(stack) - arity:]
-                        del stack[height:]
-                        stack.extend(carried)
-                    else:
-                        del stack[height:]
-                    del labels[len(labels) - 1 - ins[1]:]
-                    pc = cont_pc
-                    continue
-                elif op == 12:  # OP_END
-                    if labels:
-                        labels.pop()
-                elif op == 13:  # OP_LOOP
-                    labels.append((True, pc, pc + 1, len(stack), 0))
-                elif op == 14:  # OP_IF
-                    condition = pop()
-                    labels.append((False, pc, ins[1], len(stack), ins[2]))
-                    if not condition:
-                        pc = ins[3]
-                        continue
-                elif op == 15:  # OP_BLOCK
-                    labels.append((False, pc, ins[1], len(stack), ins[2]))
-                elif op == 16:  # OP_JUMP
-                    pc = ins[1]
-                    continue
-                elif op == 17:  # OP_CALL
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    results = self._invoke_callee(functions[ins[1]], call_args)
-                    if results:
-                        stack.extend(results)
-                elif op == 18:  # OP_RETURN
-                    return stack[len(stack) - result_arity:]
-                elif op == 19:  # OP_GET_GLOBAL
-                    append(globals_[ins[1]].value)
-                elif op == 20:  # OP_SET_GLOBAL
-                    globals_[ins[1]].value = pop()
-                elif op == 21:  # OP_SELECT
-                    condition = pop()
-                    second = pop()
-                    first = pop()
-                    append(first if condition else second)
-                elif op == 22:  # OP_DROP
-                    pop()
-                elif op == 23:  # OP_CALL_INDIRECT
-                    table_idx = pop()
-                    func_addr = table.get(table_idx)
-                    callee = functions[func_addr]
-                    if callee.functype != ins[1]:
-                        raise Trap(f"indirect call type mismatch: entry {table_idx} "
-                                   f"has {callee.functype}, expected {ins[1]}")
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    results = self._invoke_callee(callee, call_args)
-                    if results:
-                        stack.extend(results)
-                elif op == 24:  # OP_BR_TABLE
-                    index = pop()
-                    if meter is not None:
-                        meter.branch(len(stack))
-                    tele.n_branches += 1
-                    table_labels = ins[1]
-                    depth = table_labels[index] if index < len(table_labels) else ins[2]
-                    is_loop, block_pc, cont_pc, height, arity = labels[-1 - depth]
-                    if is_loop:
-                        del stack[height:]
-                        del labels[len(labels) - 1 - depth:]
-                        pc = block_pc
-                        continue
-                    if arity:
-                        carried = stack[len(stack) - arity:]
-                        del stack[height:]
-                        stack.extend(carried)
-                    else:
-                        del stack[height:]
-                    del labels[len(labels) - 1 - depth:]
-                    pc = cont_pc
-                    continue
-                elif op == 25:  # OP_MEMORY_SIZE
-                    append(memory.size_pages)
-                elif op == 26:  # OP_MEMORY_GROW
-                    delta = pop()
-                    append(memory.grow(delta) & MASK32)
-                    tele.note_grow(memory.size_pages)
-                elif op == 27:  # OP_NOP
-                    pass
-                elif op == 28:  # OP_UNREACHABLE
-                    raise Trap("unreachable executed")
-                else:  # OP_RAISE
-                    raise ins[1]
-                pc += 1
-
-            return stack[len(stack) - result_arity:] if result_arity else []
-        finally:
-            profiler.exit(executed)
+        source, first_line = inspect.getsourcelines(Machine._exec_decoded)
+        func = ast.parse(textwrap.dedent("".join(source))).body[0]
+        ast.increment_lineno(func, first_line - 1)
+        loop = next(node for node in ast.walk(func)
+                    if isinstance(node, ast.While))
+        read = loop.body[1]
+        if ast.unparse(read) != "op = ins[0]":  # pragma: no cover - guard
+            raise AssertionError(
+                "_exec_decoded's loop no longer starts with the opcode read")
+        loop.body[2:2] = _parse_at(_PROFILE_COUNT, read)
+        func.body = _parse_at(_PROFILE_PROLOGUE, func) + [ast.Try(
+            body=func.body, handlers=[], orelse=[],
+            finalbody=_parse_at("profiler.exit(executed)", func))]
+        ast.fix_missing_locations(func)
+        func.name = "_exec_profiled"
+        namespace: dict = {}
+        exec(compile(ast.Module(body=[func], type_ignores=[]),
+                     inspect.getsourcefile(Machine), "exec"),
+             globals(), namespace)
+        return namespace[func.name]
 
     # -- the legacy interpreter loop ---------------------------------------------
 

@@ -3,8 +3,9 @@
 The paper instruments *guest* programs; this module turns the same lens on
 the host interpreter itself. When a profiler is attached
 (``Telemetry(profile=True)`` → ``Machine(telemetry=...)``), the pre-decoded
-engine routes execution through a counting twin of its hot loop
-(``Machine._exec_profiled``) that
+engine runs a counting variant of its one hot loop, generated from the
+source of ``Machine._exec_decoded`` on first profiled use
+(``Machine._profiled_loop``), that
 
 * increments one slot of a dense per-opcode array per executed instruction
   (exact dynamic opcode counts — streams are decoded *unfused* under the
@@ -22,7 +23,7 @@ Counting instructions rather than sampling wall-clock makes the profile
 deterministic for a given guest execution — two runs of the same program
 produce the same ranking — which is what the differential tests pin. The
 profiler is strictly opt-in: without it the machine binds its ordinary
-fused loop and pays nothing.
+fused loop, never generates the counting variant, and pays nothing.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_CALL: "call", _pd.OP_CALL_INDIRECT: "call",
     _pd.OP_SELECT: "stack", _pd.OP_DROP: "stack",
     _pd.OP_HOOK: "hook",
-    # fused/quickened forms never execute under the profiler (unfused,
-    # unquickened decode), but keep the map total so aggregation cannot
-    # KeyError on streams from instances created before attach
+    # instances created under the profiler decode unfused and unquickened,
+    # so these never count there; instances created before attach count
+    # their fused, quickened and segment *slots* (one per dispatch) under
+    # these classes
     _pd.OP_GET_LOCAL_CONST: "fused", _pd.OP_CONST_BINARY: "fused",
     _pd.OP_GET_LOCAL_BINARY: "fused", _pd.OP_GET2_LOCAL: "fused",
     _pd.OP_BINARY_CONST: "fused", _pd.OP_BINARY_BINARY: "fused",

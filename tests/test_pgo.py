@@ -10,11 +10,13 @@ verbs that close the loop.
 
 import json
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.eval import polybench_workloads
+from repro.eval import (POLYBENCH_FAST_SUBSET, polybench_workloads,
+                        realworld_workloads)
 from repro.interp import Machine
 from repro.interp.pgo import (FUSION_SCHEMA,
                               PROFILE_SCHEMA, fusion_table_payload,
@@ -390,6 +392,20 @@ class TestArtifacts:
         assert resolved  # a PolyBench kernel always has fusable hot pairs
         # a profile resolves the same way as the table derived from it
         assert resolve_fusion_pairs(tiny_profile) == resolved
+
+    def test_committed_corpus_profile_rerecords_identically(self, tmp_path):
+        """benchmarks/results/PGO_corpus_profile.json is byte for byte what
+        the bench-smoke corpus (Fig. 9 subset + real-world stand-ins)
+        records today: recording is exact, so any drift is an engine or
+        profiler change that must re-record the artifact."""
+        committed = (Path(__file__).resolve().parents[1] / "benchmarks"
+                     / "results" / "PGO_corpus_profile.json")
+        workloads = (polybench_workloads(POLYBENCH_FAST_SUBSET)
+                     + realworld_workloads())
+        profile = merge_profiles([record_workload_profile(w)
+                                  for w in workloads])
+        path = write_profile(profile, tmp_path / committed.name)
+        assert path.read_bytes() == committed.read_bytes()
 
     def test_unknown_pair_names_ignored(self):
         table = {"schema": FUSION_SCHEMA,

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cli import main
 from repro.core import Analysis, AnalysisSession
+from repro.eval import POLYBENCH_FAST_SUBSET, polybench_workloads
 from repro.interp import Linker, Machine, ResourceLimits
 from repro.minic import compile_source
 from repro.obs import (HOOK_LATENCY_BUCKETS, METRICS_SCHEMA, Histogram,
@@ -283,13 +284,31 @@ class TestDisabledTelemetryDifferential:
                 module, Linker()).invoke(entry, args)
             assert plain == tele
 
-    def test_profiled_results_identical(self, fib_module):
-        plain = Machine(predecode=True).instantiate(
-            fib_module, Linker()).invoke("main", [])
-        profiled = Machine(predecode=True,
-                           telemetry=Telemetry(profile=True)).instantiate(
-            fib_module, Linker()).invoke("main", [])
-        assert plain == profiled
+    @pytest.mark.parametrize("attach", ["at_construction",
+                                        "after_quickened_instantiate"])
+    @pytest.mark.parametrize("name", POLYBENCH_FAST_SUBSET)
+    def test_profiled_results_identical(self, name, attach):
+        """The profiled loop prints exactly what the unprofiled one does —
+        also on streams quickened before the profiler was attached, whose
+        fused, quickened and segment slots it must execute, not just count."""
+        workload = polybench_workloads([name])[0]
+        module = workload.module()
+        plain: list = []
+        Machine(predecode=True).instantiate(
+            module, workload.linker(plain)).invoke(workload.entry,
+                                                   workload.args)
+        tele = Telemetry(profile=True)
+        printed: list = []
+        if attach == "at_construction":
+            machine = Machine(predecode=True, telemetry=tele)
+            instance = machine.instantiate(module, workload.linker(printed))
+        else:
+            machine = Machine(predecode=True, quicken=True)
+            instance = machine.instantiate(module, workload.linker(printed))
+            machine.attach_telemetry(tele)
+        instance.invoke(workload.entry, workload.args)
+        assert printed == plain
+        assert tele.profiler.total_instructions > 0
 
     def test_instruction_counts_identical_across_engines(self, fib_module):
         """The profiler's dynamic instruction count is an engine-independent
