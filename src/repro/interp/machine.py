@@ -25,7 +25,6 @@ import inspect
 import os
 import struct
 import sys
-import textwrap
 import time
 import types
 from typing import TYPE_CHECKING, Sequence
@@ -1266,12 +1265,14 @@ class Machine:
         ``try/finally: profiler.exit(executed)``, and :data:`_PROFILE_COUNT`
         is inserted right after the ``op = ins[0]`` dispatch read, so every
         slot the loop can execute — plain, fused, quickened or segment — is
-        counted and then run by the very same handler. Line numbers are
-        those of ``machine.py``, so tracebacks point at real source lines.
+        counted and then run by the very same handler. Line and column
+        numbers are those of ``machine.py``, so tracebacks point at real
+        source positions.
         """
         source, first_line = inspect.getsourcelines(Machine._exec_decoded)
-        func = ast.parse(textwrap.dedent("".join(source))).body[0]
-        ast.increment_lineno(func, first_line - 1)
+        # Parsed inside a stand-in class body so columns keep their indent.
+        func = ast.parse("class _:\n" + "".join(source)).body[0].body[0]
+        ast.increment_lineno(func, first_line - 2)
         loop = next(node for node in ast.walk(func)
                     if isinstance(node, ast.While))
         read = loop.body[1]

@@ -288,13 +288,14 @@ class TestDisabledTelemetryDifferential:
                                         "after_quickened_instantiate"])
     @pytest.mark.parametrize("name", POLYBENCH_FAST_SUBSET)
     def test_profiled_results_identical(self, name, attach):
-        """The profiled loop prints exactly what the unprofiled one does —
-        also on streams quickened before the profiler was attached, whose
-        fused, quickened and segment slots it must execute, not just count."""
+        """The profiled loop returns and prints exactly what the unprofiled
+        one does — also on streams quickened before the profiler was
+        attached, whose fused, quickened and segment slots it must execute,
+        not just count."""
         workload = polybench_workloads([name])[0]
         module = workload.module()
         plain: list = []
-        Machine(predecode=True).instantiate(
+        plain_result = Machine(predecode=True).instantiate(
             module, workload.linker(plain)).invoke(workload.entry,
                                                    workload.args)
         tele = Telemetry(profile=True)
@@ -306,7 +307,8 @@ class TestDisabledTelemetryDifferential:
             machine = Machine(predecode=True, quicken=True)
             instance = machine.instantiate(module, workload.linker(printed))
             machine.attach_telemetry(tele)
-        instance.invoke(workload.entry, workload.args)
+        result = instance.invoke(workload.entry, workload.args)
+        assert result == plain_result
         assert printed == plain
         assert tele.profiler.total_instructions > 0
 
