@@ -2,8 +2,9 @@
 
 Two claims, one JSON artifact:
 
-* **Throughput** — the sharded engine vs the PR-3 serial harness
-  (`run_campaign`) at the same budget and seed. Absolute speedups depend
+* **Throughput** — sharded campaigns vs a one-shard blind campaign
+  (`run_fuzz_campaign` with `parallel=1`) at the same budget and seed,
+  recorded under the `serial` key. Absolute speedups depend
   on the machine (this box may have one core, and on 3.10/3.11 the
   ``settrace`` coverage backend multiplies per-mutant cost ~5x), so the
   numbers are recorded honestly and the floors are gated on
@@ -26,7 +27,6 @@ import sys
 import time
 
 from repro.eval.coverage import default_backend
-from repro.eval.faultinject import run_campaign
 from repro.eval.fuzz import FuzzConfig, bench_payload, run_fuzz_campaign
 
 from conftest import full_run
@@ -50,7 +50,7 @@ def test_fuzz_throughput_and_guidance(results_dir):
     workers = _workers()
 
     start = time.perf_counter()
-    serial = run_campaign(mutants=budget, seed=SEED)
+    serial = run_fuzz_campaign(FuzzConfig(mutants=budget, seed=SEED))
     serial_elapsed = time.perf_counter() - start
     serial_rate = budget / serial_elapsed
     assert serial.ok, serial.summary()
@@ -111,13 +111,13 @@ def test_fuzz_throughput_and_guidance(results_dir):
     # throughput floors, where the hardware can express them
     cores = os.cpu_count() or 1
     if cores >= 2:
-        # sharding must not be slower than the serial harness
+        # sharding must not be slower than one shard
         assert payload["blind_speedup"] >= 0.9, payload
     if cores >= 4:
         # blind sharding parallelizes near-linearly (no coverage tax)
         assert payload["blind_speedup"] >= 2.5, payload
     if cores >= 4 and default_backend() == "monitoring":
-        # the acceptance floor: guided throughput >= 5x the serial harness
+        # the acceptance floor: guided throughput >= 5x one blind shard
         # needs real cores *and* the ~free 3.12 sys.monitoring backend
         # (settrace multiplies per-mutant cost by ~5x and would hide it)
         assert payload["coverage_speedup"] >= 5.0, payload
@@ -125,9 +125,10 @@ def test_fuzz_throughput_and_guidance(results_dir):
 
 def test_blind_parallel_matches_serial_signatures(results_dir):
     """The speedup comparison is apples-to-apples: sharded blind mode
-    reproduces the serial harness' stage aggregates exactly."""
+    reproduces the one-shard campaign's stage aggregates exactly."""
     budget = 600
-    serial = run_campaign(mutants=budget, seed=SEED)
+    serial = run_fuzz_campaign(FuzzConfig(mutants=budget, seed=SEED,
+                                          parallel=1))
     blind = run_fuzz_campaign(FuzzConfig(
         mutants=budget, seed=SEED, parallel=_workers(),
         round_size=100))

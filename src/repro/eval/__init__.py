@@ -8,9 +8,8 @@ from .faithfulness import (FaithfulnessResult, check_workload, run_instrumented,
                            run_original)
 from .coverage import (DEFAULT_COVERAGE_MODULES, CoverageCollector,
                        CoverageMap, collect_edges)
-from .faultinject import (CampaignResult, Classification, Failure, classify,
-                          mutant_rng, mutate, regenerate_mutant,
-                          replay_failure_bundle, run_campaign, run_pipeline,
+from .faultinject import (Classification, Failure, classify, mutant_rng,
+                          mutate, regenerate_mutant, replay_failure_bundle,
                           save_failure_bundle, seed_corpus)
 from .fuzz import (CORPUS_SCHEMA, MUTATOR_VERSION, CorpusState, FuzzConfig,
                    FuzzResult, bench_payload, fold_into_telemetry,
@@ -32,7 +31,7 @@ from .workloads import (POLYBENCH_FAST_SUBSET, Workload, default_workloads,
                         polybench_workloads, realworld_workloads)
 
 __all__ = [
-    "CORPUS_SCHEMA", "CampaignResult", "Classification",
+    "CORPUS_SCHEMA", "Classification",
     "CorpusState", "CoverageCollector", "CoverageMap",
     "DEFAULT_COVERAGE_MODULES", "FIGURE_GROUPS", "Failure",
     "FaithfulnessResult", "FuzzConfig", "FuzzResult", "InterpBenchReport",
@@ -52,8 +51,8 @@ __all__ = [
     "reduce_bytes", "reduce_failure", "reduce_invocations",
     "regenerate_mutant", "render_fig8",
     "render_fig9", "render_table", "render_table5", "replay_failure_bundle",
-    "run_campaign", "run_fuzz_campaign", "run_instrumented",
-    "run_original", "run_pipeline", "save_failure_bundle",
+    "run_fuzz_campaign", "run_instrumented",
+    "run_original", "save_failure_bundle",
     "save_signature_bundle", "seed_corpus", "signature_key",
     "size_sweep", "time_instrumentation", "time_workload",
 ]

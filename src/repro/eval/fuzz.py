@@ -1,8 +1,11 @@
-"""Coverage-guided, parallel fuzzing of the binary pipeline.
+"""The fuzz campaign driver: blind or coverage-guided, serial or sharded.
 
-The PR-3 fault-injection harness (:mod:`repro.eval.faultinject`) mutates
-blindly and single-threaded; this module turns it into a corpus-evolving
-campaign engine:
+:mod:`repro.eval.faultinject` supplies the mutators, the seed corpus and
+the per-binary :func:`~repro.eval.faultinject.classify`;
+:func:`run_fuzz_campaign` is the one loop that drives them. Every ``repro
+fuzz`` invocation runs through it. A plain campaign (one shard, no
+coverage) is blind round-robin mutation over the seed corpus; the options
+below layer on top of that:
 
 * **Coverage guidance** — every mutant's pipeline run is observed by a
   :class:`~repro.eval.coverage.CoverageCollector` over the decoder,
@@ -13,7 +16,8 @@ campaign engine:
   round fans its contiguous index blocks out over a
   :class:`~concurrent.futures.ProcessPoolExecutor`. Shards are merged in
   submission order (never completion order), so a parallel campaign is as
-  deterministic as a serial one modulo coverage-admission timing.
+  deterministic as a one-shard one modulo coverage-admission timing (blind
+  aggregates are identical for any shard count).
 * **Deterministic per-mutant RNG** — every mutant's mutation stream is
   seeded independently from ``(campaign_seed, corpus_entry, index)`` via
   :func:`~repro.eval.faultinject.mutant_rng`, so any shard's mutants can be
@@ -28,9 +32,9 @@ campaign engine:
   versioned ``corpus.json``; a rerun picks up where the last one stopped
   and only bundles genuinely new signatures.
 
-Everything is pure-stdlib and importable; ``repro fuzz --parallel N
---coverage`` is a thin CLI wrapper and ``benchmarks/test_fuzz_bench.py``
-records throughput and guidance quality in ``BENCH_fuzz.json``.
+Everything is pure-stdlib and importable; ``repro fuzz`` is a thin CLI
+wrapper and ``benchmarks/test_fuzz_bench.py`` records throughput and
+guidance quality in ``BENCH_fuzz.json``.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .coverage import CoverageCollector, CoverageMap, default_backend
-from .faultinject import (STAGES, Failure, classify, mutant_rng, mutate,
-                          save_failure_bundle, seed_corpus)
+from .faultinject import (STAGES, Failure, classify, failure_manifest,
+                          mutant_rng, mutate, save_failure_bundle,
+                          seed_corpus)
 
 #: Schema tag of the on-disk corpus state. Mechanical format changes bump
 #: the trailing number; readers refuse anything else.
@@ -325,8 +330,9 @@ def _shard_worker(payload: dict) -> dict:
     # Guided scheduling state: seeds and evolved frontier entries alternate
     # (even indices draw from the seed stream, odd from the frontier), and
     # guided mutants use single-op mutation so children stay close to their
-    # interesting parent. Blind mode keeps the legacy round-robin + 1-3 op
-    # schedule, so parallel blind aggregates match the serial harness.
+    # interesting parent. Blind mode is plain round-robin with 1-3 op
+    # mutants, a pure function of the index, so any shard count gives the
+    # same aggregates.
     evolved = [n for n in names if n.startswith("cov-")]
     seeds_only = [n for n in names if not n.startswith("cov-")]
     max_ops = 1 if want_coverage else 3
@@ -419,7 +425,8 @@ def _record_failure(record: dict, seed: int) -> Failure:
     return Failure(corpus_name=record["name"], index=record["index"],
                    seed=seed, stage=record["stage"] or "unknown",
                    recipe=record["recipe"], exc_type=record["exc_type"] or "-",
-                   message=record["message"] or "")
+                   message=record["message"] or "",
+                   max_ops=record["max_ops"])
 
 
 def save_signature_bundle(record: dict, seed: int, directory: str | Path,
@@ -428,9 +435,10 @@ def save_signature_bundle(record: dict, seed: int, directory: str | Path,
                           reduce_tests: int = 150) -> Path:
     """Reduce one new-signature example and persist it as a crash bundle.
 
-    The bundle manifest mirrors escape bundles (``kind: pipeline`` with the
-    fuzz provenance triple), so ``repro replay`` and ``repro bundle`` work
-    on it unchanged; reduction preserves the signature by construction.
+    The manifest comes from :func:`~repro.eval.faultinject.failure_manifest`,
+    like an escape bundle's, plus the signature key, so ``repro replay``
+    and ``repro bundle`` work on it unchanged; reduction preserves the
+    signature by construction.
     """
     from ..interp.replay import write_crash_bundle
     from .faultinject import Classification
@@ -449,15 +457,8 @@ def save_signature_bundle(record: dict, seed: int, directory: str | Path,
         except ValueError:
             pass  # e.g. a flaky non-reproducing example: keep it unreduced
     sig = signature_key(record["stage"], record["outcome"], record["exc_type"])
-    manifest = {
-        "kind": "pipeline",
-        "error": {"type": record["exc_type"], "message": record["message"],
-                  "stage": record["stage"], "outcome": record["outcome"]},
-        "fuzz": {"seed": seed, "corpus": record["name"],
-                 "index": record["index"], "recipe": record["recipe"],
-                 "max_ops": record.get("max_ops", 3),
-                 "signature": sig},
-    }
+    manifest = failure_manifest(_record_failure(record, seed),
+                                outcome=record["outcome"], signature=sig)
     if reduction is not None:
         manifest["reduction"] = {
             "original_size": reduction.original_size,

@@ -263,3 +263,9 @@ class TestFuzzBundles:
         assert main(["fuzz", "--mutants", "30", "--seed", "20260806",
                      "--save-failures", str(failures), "--reduce"]) == 0
         assert not failures.exists()
+
+    def test_reduce_requires_save_failures(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--mutants", "2", "--reduce"])
+        assert exc.value.code == 2
+        assert "--save-failures" in capsys.readouterr().err

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.faultinject import (MUTATORS, mutate, regenerate_mutant,
-                                    run_campaign, run_pipeline, seed_corpus)
+from repro.eval.faultinject import (MUTATORS, classify, mutate,
+                                    regenerate_mutant, seed_corpus)
+from repro.eval.fuzz import FuzzConfig, run_fuzz_campaign
 from repro.wasm import (DecodeError, ValidationError, WasmError,
                         decode_module, encode_module, validate_module)
 from repro.wasm.builder import ModuleBuilder
@@ -22,15 +23,15 @@ from repro.wasm.types import I32, Limits
 
 class TestCampaign:
     def test_small_campaign_has_no_escapes(self):
-        result = run_campaign(mutants=300, seed=1234)
+        result = run_fuzz_campaign(FuzzConfig(mutants=300, seed=1234))
         assert result.ok, result.summary()
         assert result.mutants == 300
         # sanity: the mutator is actually producing malformed binaries
         assert result.rejected_at.get("decode", 0) > 0
 
     def test_campaign_is_reproducible(self):
-        a = run_campaign(mutants=100, seed=77, execute=False)
-        b = run_campaign(mutants=100, seed=77, execute=False)
+        a = run_fuzz_campaign(FuzzConfig(mutants=100, seed=77, execute=False))
+        b = run_fuzz_campaign(FuzzConfig(mutants=100, seed=77, execute=False))
         assert a.rejected_at == b.rejected_at
         assert a.survived == b.survived
 
@@ -62,12 +63,14 @@ class TestCampaign:
 
     def test_pipeline_accepts_pristine_binary(self):
         for binary in seed_corpus().values():
-            assert run_pipeline(binary, execute=True) is None
+            assert classify(binary, execute=True).stage is None
 
     def test_pipeline_rejects_garbage_cleanly(self):
-        assert run_pipeline(b"\x00asm\x01\x00\x00\x00" + b"\xff" * 40) is not None
-        assert run_pipeline(b"not wasm at all") is not None
-        assert run_pipeline(b"") is not None
+        for garbage in (b"\x00asm\x01\x00\x00\x00" + b"\xff" * 40,
+                        b"not wasm at all", b""):
+            outcome = classify(garbage)
+            assert outcome.stage is not None
+            assert outcome.outcome == "rejected", outcome
 
 
 class TestLeb128Hardening:

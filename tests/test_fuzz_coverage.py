@@ -17,7 +17,7 @@ from repro.cli import EXIT_FAILURE, EXIT_OK, main
 from repro.eval.coverage import (DEFAULT_COVERAGE_MODULES, CoverageCollector,
                                  CoverageMap, collect_edges)
 from repro.eval.faultinject import (Classification, mutant_rng, mutate,
-                                    seed_corpus)
+                                    regenerate_mutant, seed_corpus)
 from repro.eval.fuzz import (CORPUS_SCHEMA, CorpusState, FuzzConfig,
                              FuzzResult, _merge_shard, bench_payload,
                              load_corpus_entries, run_fuzz_campaign,
@@ -267,9 +267,61 @@ class TestFuzzCLI:
         assert "ESCAPE" in capsys.readouterr().err
 
     def test_serial_escape_exits_failure(self, monkeypatch, capsys):
-        def explode(binary, execute=True, engines=(True, False)):
+        def explode(binary, execute, engines):
             raise IndexError("boom")
 
-        monkeypatch.setattr("repro.eval.faultinject.run_pipeline", explode)
+        monkeypatch.setattr("repro.eval.faultinject._pipeline_stage", explode)
         status = main(["fuzz", "--mutants", "2"])
         assert status == EXIT_FAILURE
+        assert "ESCAPE" in capsys.readouterr().err
+
+    def test_reduce_applies_to_every_campaign_mode(self, monkeypatch,
+                                                   tmp_path, capsys):
+        # --reduce used to be dropped whenever --coverage (or --parallel,
+        # --corpus-dir, ...) was given
+        def explode(binary, execute, engines):
+            raise IndexError("boom")
+
+        monkeypatch.setattr("repro.eval.faultinject._pipeline_stage", explode)
+        failures = tmp_path / "failures"
+        status = main(["fuzz", "--mutants", "2", "--coverage",
+                       "--save-failures", str(failures), "--reduce"])
+        assert status == EXIT_FAILURE
+        bundles = sorted(failures.iterdir())
+        assert len(bundles) == 2
+        for path in bundles:
+            bundle = load_crash_bundle(path)
+            reduction = bundle.manifest["reduction"]
+            assert reduction["reduced_size"] == len(bundle.module_bytes)
+            assert reduction["reduced_size"] < reduction["original_size"]
+
+    def test_guided_escape_bundle_regenerates_from_manifest(
+            self, monkeypatch, tmp_path, capsys):
+        def bad_classify(binary, execute=True, engines=(True, False)):
+            return Classification(stage="decode", outcome="escape",
+                                  exc_type="IndexError", message="boom")
+
+        monkeypatch.setattr("repro.eval.fuzz.classify", bad_classify)
+        result = run_fuzz_campaign(FuzzConfig(
+            mutants=6, seed=11, coverage=True,
+            save_failures=str(tmp_path)))
+        assert len(result.escapes) == 6
+        differs_at_default_depth = False
+        for failure in result.escapes:
+            bundle = load_crash_bundle(tmp_path / f"{failure.corpus_name}-"
+                                                  f"{failure.index}")
+            fuzz = bundle.manifest["fuzz"]
+            assert fuzz["max_ops"] == 1
+            assert fuzz["corpus"] in seed_corpus()
+            assert regenerate_mutant(fuzz["seed"], fuzz["corpus"],
+                                     fuzz["index"],
+                                     max_ops=fuzz["max_ops"]) \
+                == bundle.module_bytes
+            differs_at_default_depth |= regenerate_mutant(
+                fuzz["seed"], fuzz["corpus"], fuzz["index"]) \
+                != bundle.module_bytes
+        # the recorded depth matters: the default of 3 rebuilds other bytes
+        assert differs_at_default_depth
+        capsys.readouterr()
+        assert main(["bundle", str(tmp_path / "fib-0")]) == EXIT_OK
+        assert "max_ops=1" in capsys.readouterr().out
