@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from threading import Lock
 
 from ..wasm.errors import WasmError
-from ..wasm.module import Export, Function, Import, Instr, Module
-from ..wasm.types import I32, I64, ValType
+from ..wasm.module import Export, Function, Import, IndexSpaces, Instr, Module
+from ..wasm.types import I32, I64, FuncType, ValType
 from ..wasm.validation import ExprValidator, _Unknown
 from .analysis import ALL_GROUPS, Location
 from .control import ControlFrame, ControlStack
@@ -68,14 +68,20 @@ class InstrumentationResult:
         return len(self.info.hooks)
 
 
+#: Emitted instructions whose immediate fits one LEB128 byte, shared by
+#: ``(op, idx, value)`` so the instrumenter allocates each of them once.
+_EMITTED: dict[tuple, Instr] = {}
+
+
 class _FuncInstrumenter:
     """Instruments a single function body."""
 
-    def __init__(self, module: Module, func: Function, func_idx: int,
-                 registry: HookRegistry, groups: frozenset[str],
+    def __init__(self, module: Module, spaces: IndexSpaces, func: Function,
+                 func_idx: int, registry: HookRegistry, groups: frozenset[str],
                  static: StaticInfo, config: InstrumentationConfig,
                  lock: Lock | None = None):
         self.module = module
+        self.spaces = spaces
         self.func = func
         self.func_idx = func_idx
         self.registry = registry
@@ -86,7 +92,8 @@ class _FuncInstrumenter:
         functype = module.types[func.type_idx]
         self.functype = functype
         self.typer = ExprValidator(module, func, functype.results,
-                                   list(functype.params) + list(func.locals))
+                                   list(functype.params) + list(func.locals),
+                                   func_idx=func_idx, spaces=spaces)
         self.ctrl = ControlStack(func_idx, func.body)
         self.out: list[Instr] = []
         self.new_locals: list[ValType] = []
@@ -108,8 +115,17 @@ class _FuncInstrumenter:
 
     # -- emission helpers ----------------------------------------------------------
 
-    def emit(self, op: str, **immediates) -> None:
-        self.out.append(Instr(op, **immediates))
+    def emit(self, op: str, idx: int | None = None, value: int | None = None,
+             blocktype: ValType | None = None) -> None:
+        if blocktype is None and (idx is None or 0 <= idx < 128) and (
+                value is None or (type(value) is int and -64 <= value < 64)):
+            key = (op, idx, value)
+            instr = _EMITTED.get(key)
+            if instr is None:
+                instr = _EMITTED[key] = Instr(op, value=value, idx=idx)
+            self.out.append(instr)
+        else:
+            self.out.append(Instr(op, value=value, idx=idx, blocktype=blocktype))
 
     def emit_instr(self, instr: Instr) -> None:
         self.out.append(instr)
@@ -451,7 +467,7 @@ class _FuncInstrumenter:
             self.call_hook(spec, idx)
             return
         if group_name == "global":
-            valtype = self.module.global_type(instr.idx).valtype
+            valtype = self.spaces.global_type(instr.idx).valtype
             self.static.var_indices[loc_key] = instr.idx
             self.emit_instr(instr)
             if valtype is I64:
@@ -482,7 +498,7 @@ class _FuncInstrumenter:
             self.emit_instr(instr)
             return
         loc_key = (self.func_idx, idx)
-        callee_type = self.module.func_type(instr.idx)
+        callee_type = self.spaces.func_type(instr.idx)
         self.static.call_targets[loc_key] = instr.idx
         params, results = callee_type.params, callee_type.results
         arg_temps = self.save_to_temps(params)
@@ -542,20 +558,22 @@ def instrument_module(module: Module,
         raise WasmError(f"unknown hook groups: {sorted(unknown)}")
 
     registry = HookRegistry(with_locations=config.emit_locations)
-    static = StaticInfo(module_info=ModuleInfo.from_module(module))
-    n_imported = module.num_imported_functions
+    spaces = module.index_spaces()
+    static = StaticInfo(module_info=ModuleInfo.from_module(module, spaces))
+    n_imported = spaces.num_imported_functions
 
     if config.parallel_workers > 1:
         lock = Lock()
         def work(item: tuple[int, Function]) -> Function:
             pos, func = item
-            return _FuncInstrumenter(module, func, n_imported + pos, registry,
-                                     config.groups, static, config, lock).run()
+            return _FuncInstrumenter(module, spaces, func, n_imported + pos,
+                                     registry, config.groups, static, config,
+                                     lock).run()
         with ThreadPoolExecutor(max_workers=config.parallel_workers) as pool:
             new_functions = list(pool.map(work, enumerate(module.functions)))
     else:
         new_functions = [
-            _FuncInstrumenter(module, func, n_imported + pos, registry,
+            _FuncInstrumenter(module, spaces, func, n_imported + pos, registry,
                               config.groups, static, config).run()
             for pos, func in enumerate(module.functions)
         ]
@@ -574,15 +592,24 @@ def instrument_module(module: Module,
     instrumented = Module(name=module.name)
     instrumented.types = list(module.types)
     instrumented.imports = list(module.imports)
+    hook_type_idxs: dict[FuncType, int] = {}
     for spec in hook_specs:
-        type_idx = instrumented.add_type(spec.functype)
+        type_idx = hook_type_idxs.get(spec.functype)
+        if type_idx is None:
+            type_idx = hook_type_idxs[spec.functype] = \
+                instrumented.add_type(spec.functype)
         # insert hook imports after the existing function imports so the
         # original imports keep their indices
         instrumented.imports.append(Import(HOOK_MODULE, spec.name, type_idx))
+    remapped_calls: dict[int, Instr] = {}
     for func in new_functions:
-        for i, instr in enumerate(func.body):
+        body = func.body
+        for i, instr in enumerate(body):
             if instr.op == "call":
-                func.body[i] = replace(instr, idx=remap(instr.idx))
+                new = remapped_calls.get(instr.idx)
+                if new is None:
+                    new = remapped_calls[instr.idx] = Instr("call", idx=remap(instr.idx))
+                body[i] = new
         # type indices are stable: instrumented.types extends module.types
         instrumented.functions.append(func)
     instrumented.tables = list(module.tables)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..wasm.module import Module
+from ..wasm.module import IndexSpaces, Module
 from ..wasm.types import FuncType, GlobalType
 from .analysis import BranchTarget, Location
 from .hooks import HookSpec
@@ -74,26 +74,36 @@ class ModuleInfo:
         return self.functions[idx].name
 
     @classmethod
-    def from_module(cls, module: Module) -> "ModuleInfo":
+    def from_module(cls, module: Module,
+                    spaces: IndexSpaces | None = None) -> "ModuleInfo":
+        """Summarize ``module``; ``spaces`` is its index-space snapshot,
+        built here when the caller does not share one."""
+        if spaces is None:
+            spaces = module.index_spaces()
         info = cls(start=module.start,
-                   has_memory=module.num_memories > 0,
-                   has_table=module.num_tables > 0)
+                   has_memory=spaces.num_memories > 0,
+                   has_table=spaces.num_tables > 0)
         exports_by_func: dict[int, list[str]] = {}
         for export in module.exports:
             if export.kind == "func":
                 exports_by_func.setdefault(export.idx, []).append(export.name)
-        for idx in range(module.num_functions):
+        names = [f"{imp.module}.{imp.name}" for imp in module.imported_functions()]
+        counts = [0] * len(names)
+        for idx, func in enumerate(module.functions, start=len(names)):
+            # the same naming as Module.func_name: own name, first export, index
+            exported = exports_by_func.get(idx)
+            names.append(func.name or (exported[0] if exported else f"func_{idx}"))
+            counts.append(len(func.body))
+        for idx, functype in enumerate(spaces.func_types):
             info.functions.append(FunctionInfo(
                 idx=idx,
-                name=module.func_name(idx),
-                type=module.func_type(idx),
-                imported=idx < module.num_imported_functions,
+                name=names[idx],
+                type=functype,
+                imported=idx < spaces.num_imported_functions,
                 export_names=tuple(exports_by_func.get(idx, ())),
-                instr_count=(len(module.function_at(idx).body)
-                             if module.function_at(idx) else 0),
+                instr_count=counts[idx],
             ))
-        for gidx in range(module.num_globals):
-            info.globals.append(module.global_type(gidx))
+        info.globals.extend(spaces.global_types)
         return info
 
 

@@ -30,7 +30,7 @@ import types
 from typing import TYPE_CHECKING, Sequence
 
 from ..wasm.errors import ExhaustionError, ResourceExhausted, Trap, WasmError
-from ..wasm.module import Function, Instr, Module
+from ..wasm.module import Function, IndexSpaces, Instr, Module
 from ..wasm.numeric import f32_round
 from ..wasm.types import FuncType, GlobalType, MemoryType, TableType, ValType
 from .host import GlobalInstance, HostFunction, Linker
@@ -239,7 +239,8 @@ class WasmFunction:
     __slots__ = ("instance", "func", "functype", "local_types", "default_locals",
                  "result_arity", "decoded", "_matching")
 
-    def __init__(self, instance: "Instance", func: Function, functype: FuncType):
+    def __init__(self, instance: "Instance", func: Function, functype: FuncType,
+                 spaces: IndexSpaces | None = None):
         self.instance = instance
         self.func = func
         self.functype = functype
@@ -253,12 +254,14 @@ class WasmFunction:
                 # unfused, unquickened decode (uncached: the shared cache
                 # holds fused streams) so profiled opcode and pair counts
                 # attribute 1:1 to source instructions
-                decoded = decode_function(func, instance.module, fuse=False)
+                decoded = decode_function(func, instance.module, fuse=False,
+                                          spaces=spaces)
                 hit = False
             else:
                 decoded, hit = cached_decode(func, instance.module,
                                              pairs=machine.fusion_pairs,
-                                             quicken=machine.quicken)
+                                             quicken=machine.quicken,
+                                             spaces=spaces)
             if decoded.indirect_sites:
                 # per-instance copy with call_indirect inline caches; must
                 # precede hook binding so the quarantine registry ends up
@@ -609,9 +612,10 @@ class Machine:
             else:  # pragma: no cover
                 raise WasmError(f"bad import descriptor {desc!r}")
 
+        spaces = module.index_spaces() if self.predecode else None
         for func in module.functions:
             instance.functions.append(
-                WasmFunction(instance, func, module.types[func.type_idx]))
+                WasmFunction(instance, func, module.types[func.type_idx], spaces))
         for glob in module.globals:
             instance.globals.append(
                 GlobalInstance(glob.type, self._eval_init(instance, glob.init,

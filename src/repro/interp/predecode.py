@@ -46,7 +46,7 @@ from struct import Struct
 from struct import error as _struct_error
 
 from ..wasm.errors import Trap, WasmError
-from ..wasm.module import Function, Instr, Module
+from ..wasm.module import Function, IndexSpaces, Instr, Module
 from ..wasm.numeric import f32_round
 from .values import BINOPS, MASK32, MASK64, OP_HANDLERS
 
@@ -335,6 +335,7 @@ def _decode_instr(
     instr: Instr,
     pc: int,
     module: Module,
+    spaces: IndexSpaces,
     end_of: dict[int, int],
     else_of: dict[int, int | None],
 ) -> tuple:
@@ -399,7 +400,7 @@ def _decode_instr(
     if op == "return":
         return (OP_RETURN,)
     if op == "call":
-        return (OP_CALL, instr.idx, len(module.func_type(instr.idx).params))
+        return (OP_CALL, instr.idx, len(spaces.func_type(instr.idx).params))
     if op == "call_indirect":
         expected = module.types[instr.idx]
         return (OP_CALL_INDIRECT, expected, len(expected.params))
@@ -798,7 +799,8 @@ def _compile_segments(code: list[tuple],
 def decode_function(func: Function, module: Module,
                     fuse: bool = True,
                     pairs: frozenset[tuple[int, int]] | None = None,
-                    quicken: bool = False) -> DecodedFunction:
+                    quicken: bool = False,
+                    spaces: IndexSpaces | None = None) -> DecodedFunction:
     """Decode one function body into its threaded form (uncached).
 
     ``fuse=False`` skips the pair-fusion pass, leaving every slot a base
@@ -807,15 +809,18 @@ def decode_function(func: Function, module: Module,
     fusion table (``None`` = :data:`DEFAULT_FUSION_PAIRS`); ``quicken``
     additionally wraps bare memory ops in :data:`OP_QUICK` trampolines and
     records ``call_indirect`` slots in ``indirect_sites`` for the machine's
-    per-instance inline-cache rewrite.
+    per-instance inline-cache rewrite. ``spaces`` is the module's
+    index-space snapshot, built here when the caller does not share one.
     """
     body = func.body
     end_of, else_of = match_blocks(body)
     hook_imports = _hook_import_indices(module)
+    if spaces is None:
+        spaces = module.index_spaces()
     code: list[tuple] = []
     for pc, instr in enumerate(body):
         try:
-            code.append(_decode_instr(instr, pc, module, end_of, else_of))
+            code.append(_decode_instr(instr, pc, module, spaces, end_of, else_of))
         except Exception as exc:
             # Malformed instructions (missing immediates, unclosed blocks)
             # fail at *execution* time in the legacy loop; mirror that by
@@ -852,7 +857,8 @@ def decode_function(func: Function, module: Module,
 
 def cached_decode(func: Function, module: Module,
                   pairs: frozenset[tuple[int, int]] | None = None,
-                  quicken: bool = False) -> tuple[DecodedFunction, bool]:
+                  quicken: bool = False,
+                  spaces: IndexSpaces | None = None) -> tuple[DecodedFunction, bool]:
     """Decode ``func``, reusing the per-``Function`` cache when possible.
 
     The cache (``func._decoded``) is keyed by decode variant
@@ -881,7 +887,8 @@ def cached_decode(func: Function, module: Module,
     if cache is None:
         cache = {}
         func._decoded = cache  # type: ignore[attr-defined]
-    decoded = decode_function(func, module, pairs=pairs, quicken=quicken)
+    decoded = decode_function(func, module, pairs=pairs, quicken=quicken,
+                              spaces=spaces)
     cache[key] = decoded
     return decoded, False
 
@@ -902,8 +909,9 @@ def stream_summary(module: Module) -> dict:
         if imp.module != HOOK_IMPORT_MODULE:
             host_imports.add(idx)
     instructions = hook_sites = raising = host_call_sites = 0
+    spaces = module.index_spaces()
     for func in module.functions:
-        decoded, _ = cached_decode(func, module)
+        decoded, _ = cached_decode(func, module, spaces=spaces)
         instructions += len(decoded.code)
         hook_sites += len(decoded.hook_sites)
         for ins in decoded.code:

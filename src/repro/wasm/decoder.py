@@ -44,15 +44,15 @@ class _Reader:
         return chunk
 
     def u32(self) -> int:
-        value, self.pos = leb128.decode_unsigned(self.data, self.pos, 32)
+        value, self.pos = leb128.decode_unsigned(self.data, self.pos, 32, self.end)
         return value
 
     def s32(self) -> int:
-        value, self.pos = leb128.decode_signed(self.data, self.pos, 32)
+        value, self.pos = leb128.decode_signed(self.data, self.pos, 32, self.end)
         return value
 
     def s64(self) -> int:
-        value, self.pos = leb128.decode_signed(self.data, self.pos, 64)
+        value, self.pos = leb128.decode_signed(self.data, self.pos, 64, self.end)
         return value
 
     def f32(self) -> float:
@@ -149,21 +149,67 @@ def decode_instr(reader: _Reader) -> Instr:
     raise DecodeError(f"unhandled immediate kind {imm}", offset=offset)  # pragma: no cover
 
 
+#: Opcodes whose common encoding :func:`decode_expr` looks up instead of
+#: decoding: 1 for no immediate, 2 for one immediate that then fits in the
+#: single byte after the opcode (a one-byte LEB128, a block type, or the
+#: reserved memory index).
+_SHORT_LENGTH: dict[int, int] = {
+    op.byte: 1 if op.imm is opcodes.Imm.NONE else 2
+    for op in opcodes.BY_BYTE.values()
+    if op.imm in (opcodes.Imm.NONE, opcodes.Imm.BLOCKTYPE, opcodes.Imm.LABEL,
+                  opcodes.Imm.FUNC_IDX, opcodes.Imm.LOCAL_IDX,
+                  opcodes.Imm.GLOBAL_IDX, opcodes.Imm.MEM_IDX,
+                  opcodes.Imm.CONST_I32)
+}
+
+#: Shared instructions keyed by their encoding: ``byte`` for no immediate,
+#: ``byte << 8 | next`` for two-byte forms. The two-byte entries are filled
+#: from :func:`decode_instr` on first sight, so at most 128 per opcode.
+_INTERNED: dict[int, Instr] = {
+    op.byte: Instr(op.mnemonic)
+    for op in opcodes.BY_BYTE.values() if op.imm is opcodes.Imm.NONE
+}
+
+_BLOCK_START_BYTES = frozenset(op.byte for op in opcodes.BY_BYTE.values()
+                               if op.is_block_start)
+_END = _INTERNED[opcodes.BY_NAME["end"].byte]
+
+
 def decode_expr(reader: _Reader) -> list[Instr]:
     """Decode instructions up to and including the matching top-level ``end``.
 
     The returned list *excludes* the final ``end`` (it is implicit for
-    initializer expressions, and function bodies re-append it).
+    initializer expressions, and function bodies re-append it). Common
+    encodings (see :data:`_SHORT_LENGTH`) are looked up and shared; every
+    other instruction goes through :func:`decode_instr`.
     """
+    data, end = reader.data, reader.end
+    pos = reader.pos
     instrs: list[Instr] = []
     depth = 0
     while True:
-        instr = decode_instr(reader)
-        if instr.op == "end":
+        byte = data[pos] if pos < end else None
+        length = _SHORT_LENGTH.get(byte)
+        if length == 1:
+            instr = _INTERNED[byte]
+            pos += 1
+        elif length == 2 and pos + 1 < end and data[pos + 1] < 0x80:
+            key = byte << 8 | data[pos + 1]
+            instr = _INTERNED.get(key)
+            if instr is None:
+                reader.pos = pos
+                instr = _INTERNED[key] = decode_instr(reader)
+            pos += 2
+        else:
+            reader.pos = pos
+            instr = decode_instr(reader)
+            pos = reader.pos
+        if instr is _END:
             if depth == 0:
+                reader.pos = pos
                 return instrs
             depth -= 1
-        elif instr.info.is_block_start:
+        elif byte in _BLOCK_START_BYTES:
             depth += 1
         instrs.append(instr)
 
@@ -208,7 +254,7 @@ def _decode_code(reader: _Reader, type_idx: int) -> Function:
             raise DecodeError(f"too many locals ({count})", offset=sub.pos)
         locals_.extend([valtype] * count)
     body = decode_expr(sub)
-    body.append(Instr("end"))
+    body.append(_END)
     if not sub.eof():
         raise DecodeError("trailing bytes after function body", offset=sub.pos)
     reader.pos = body_end
@@ -263,6 +309,7 @@ def decode_module(data: bytes) -> Module:
                 raise DecodeError(f"unknown section id {section_id}", offset=section.pos)
             last_section = section_id
         if section_id == 0:
+            # consumed whole: the payload is kept as the rest of the section
             name = section.name()
             payload = section.raw(section.end - section.pos)
             if name == "name":
@@ -338,6 +385,9 @@ def decode_module(data: bytes) -> Module:
                 offset = decode_expr(section)
                 length = section.u32()
                 module.data.append(DataSegment(offset, section.raw(length)))
+        if not section.eof():
+            raise DecodeError(f"section {section_id} has {section.end - section.pos} "
+                              f"trailing byte(s)", offset=section.pos)
     if func_type_idxs and not module.functions:
         raise DecodeError("function section without code section")
     return module

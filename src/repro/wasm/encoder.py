@@ -112,13 +112,68 @@ def encode_instr(instr: Instr) -> bytes:
     return bytes(out)
 
 
+# How encode_expr writes an instruction's immediate without encode_instr.
+_NO_IMM, _IDX, _LABEL, _I32, _BLOCKTYPE, _MEM_IDX = range(6)
+_SHORT_KIND = {
+    opcodes.Imm.NONE: _NO_IMM, opcodes.Imm.FUNC_IDX: _IDX,
+    opcodes.Imm.LOCAL_IDX: _IDX, opcodes.Imm.GLOBAL_IDX: _IDX,
+    opcodes.Imm.LABEL: _LABEL, opcodes.Imm.CONST_I32: _I32,
+    opcodes.Imm.BLOCKTYPE: _BLOCKTYPE, opcodes.Imm.MEM_IDX: _MEM_IDX,
+}
+#: Opcode byte and immediate kind of every mnemonic encode_expr writes itself.
+_SHORT_FORMS: dict[str, tuple[int, int]] = {
+    op.mnemonic: (op.byte, _SHORT_KIND[op.imm])
+    for op in opcodes.BY_NAME.values() if op.imm in _SHORT_KIND
+}
+_BLOCKTYPE_BYTE = {None: EMPTY_BLOCKTYPE_BYTE, **VALTYPE_TO_BYTE}
+
+
 def encode_expr(body: list[Instr], *, terminated: bool = False) -> bytes:
-    """Encode an instruction sequence, appending ``end`` unless already present."""
+    """Encode an instruction sequence, appending ``end`` unless already present.
+
+    Instructions without an immediate, block types, memory indices, and
+    index, label and ``i32.const`` immediates that fit in one LEB128 byte
+    are written here; everything else goes through :func:`encode_instr`.
+    """
     out = bytearray()
+    append = out.append
+    short_forms = _SHORT_FORMS
     for instr in body:
+        form = short_forms.get(instr.op)
+        if form is not None:
+            byte, kind = form
+            if kind == _NO_IMM:
+                append(byte)
+                continue
+            if kind == _IDX:
+                value = instr.idx
+                if type(value) is int and 0 <= value < 0x80:
+                    append(byte)
+                    append(value)
+                    continue
+            elif kind == _I32:
+                value = instr.value
+                if type(value) is int and -0x40 <= value < 0x40:
+                    append(byte)
+                    append(value & 0x7F)
+                    continue
+            elif kind == _LABEL:
+                value = instr.label
+                if type(value) is int and 0 <= value < 0x80:
+                    append(byte)
+                    append(value)
+                    continue
+            elif kind == _BLOCKTYPE:
+                append(byte)
+                append(_BLOCKTYPE_BYTE[instr.blocktype])
+                continue
+            else:  # _MEM_IDX
+                append(byte)
+                append(0x00)  # reserved memory index
+                continue
         out += encode_instr(instr)
     if not terminated:
-        out += b"\x0b"
+        append(0x0B)
     return bytes(out)
 
 
@@ -182,7 +237,8 @@ def _name_section(module: Module) -> bytes | None:
     subsections = bytearray()
     if module.name is not None:
         subsections += b"\x00" + _u32(len(_name(module.name))) + _name(module.name)
-    named = [(module.num_imported_functions + i, f.name)
+    n_imported = module.num_imported_functions
+    named = [(n_imported + i, f.name)
              for i, f in enumerate(module.functions) if f.name]
     if named:
         assoc = _vec([_u32(idx) + _name(name) for idx, name in named])

@@ -40,17 +40,21 @@ def encode_signed(value: int) -> bytes:
         out.append(byte | 0x80)
 
 
-def decode_unsigned(data: bytes | memoryview, pos: int, bits: int = 32) -> tuple[int, int]:
+def decode_unsigned(data: bytes | memoryview, pos: int, bits: int = 32,
+                    end: int | None = None) -> tuple[int, int]:
     """Decode an unsigned LEB128 integer of at most ``bits`` bits.
 
     Returns ``(value, new_pos)``. Raises :class:`DecodeError` on overlong
-    encodings, out-of-range values, or truncated input.
+    encodings, out-of-range values, or input truncated at ``end``
+    (default: the end of ``data``).
     """
+    if end is None:
+        end = len(data)
     result = 0
     shift = 0
     max_bytes = (bits + 6) // 7
     for i in range(max_bytes):
-        if pos + i >= len(data):
+        if pos + i >= end:
             raise DecodeError("truncated LEB128 integer", offset=pos)
         byte = data[pos + i]
         result |= (byte & 0x7F) << shift
@@ -70,16 +74,20 @@ def decode_unsigned(data: bytes | memoryview, pos: int, bits: int = 32) -> tuple
     raise DecodeError(f"unsigned LEB128 longer than {max_bytes} bytes for u{bits}", offset=pos)
 
 
-def decode_signed(data: bytes | memoryview, pos: int, bits: int = 32) -> tuple[int, int]:
+def decode_signed(data: bytes | memoryview, pos: int, bits: int = 32,
+                  end: int | None = None) -> tuple[int, int]:
     """Decode a signed LEB128 integer of at most ``bits`` bits.
 
-    Returns ``(value, new_pos)`` with ``value`` in two's-complement range.
+    Returns ``(value, new_pos)`` with ``value`` in two's-complement range;
+    like :func:`decode_unsigned`, reads stop at ``end``.
     """
+    if end is None:
+        end = len(data)
     result = 0
     shift = 0
     max_bytes = (bits + 6) // 7
     for i in range(max_bytes):
-        if pos + i >= len(data):
+        if pos + i >= end:
             raise DecodeError("truncated LEB128 integer", offset=pos)
         byte = data[pos + i]
         result |= (byte & 0x7F) << shift

@@ -104,6 +104,43 @@ def check_instr(instr: Instr) -> None:
             raise WasmError(f"instruction {instr.op} is missing its {field_name} immediate")
 
 
+@dataclass(frozen=True)
+class IndexSpaces:
+    """Snapshot of a module's function and global index spaces.
+
+    Built by :meth:`Module.index_spaces`. :class:`Module` is mutable and
+    caches nothing, so callers that resolve many indices (the validator,
+    the instrumenter, the pre-decoder) build one snapshot up front and
+    share it instead of rescanning the imports per lookup.
+    """
+
+    #: Function types of the whole function index space (imports first).
+    func_types: tuple[FuncType, ...]
+    #: Global types of the whole global index space (imports first).
+    global_types: tuple[GlobalType, ...]
+    num_imported_functions: int
+    num_tables: int
+    num_memories: int
+
+    @property
+    def num_functions(self) -> int:
+        return len(self.func_types)
+
+    @property
+    def num_globals(self) -> int:
+        return len(self.global_types)
+
+    def func_type(self, func_idx: int) -> FuncType:
+        if not 0 <= func_idx < len(self.func_types):
+            raise WasmError(f"function index {func_idx} out of range")
+        return self.func_types[func_idx]
+
+    def global_type(self, global_idx: int) -> GlobalType:
+        if not 0 <= global_idx < len(self.global_types):
+            raise WasmError(f"global index {global_idx} out of range")
+        return self.global_types[global_idx]
+
+
 @dataclass
 class Import:
     """An import: ``module.name`` with a description of what is imported."""
@@ -225,16 +262,7 @@ class Module:
 
     def func_type(self, func_idx: int) -> FuncType:
         """Function type of any function index (imported or defined)."""
-        n_imported = self.num_imported_functions
-        if func_idx < n_imported:
-            type_idx = self.imported_functions()[func_idx].desc
-            assert isinstance(type_idx, int)
-        else:
-            defined = func_idx - n_imported
-            if defined >= len(self.functions):
-                raise WasmError(f"function index {func_idx} out of range")
-            type_idx = self.functions[defined].type_idx
-        return self.types[type_idx]
+        return self.index_spaces().func_type(func_idx)
 
     def function_at(self, func_idx: int) -> Function | None:
         """The defined :class:`Function` at ``func_idx``, or None if imported."""
@@ -258,19 +286,31 @@ class Module:
         return f"func_{func_idx}"
 
     def global_type(self, global_idx: int) -> GlobalType:
-        imported = self.imported_globals()
-        if global_idx < len(imported):
-            desc = imported[global_idx].desc
-            assert isinstance(desc, GlobalType)
-            return desc
-        defined = global_idx - len(imported)
-        if defined >= len(self.globals):
-            raise WasmError(f"global index {global_idx} out of range")
-        return self.globals[defined].type
+        return self.index_spaces().global_type(global_idx)
 
     @property
     def num_globals(self) -> int:
         return len(self.imported_globals()) + len(self.globals)
+
+    def index_spaces(self) -> IndexSpaces:
+        """A fresh :class:`IndexSpaces` snapshot of the current module.
+
+        Raises :class:`WasmError` if a function's type index is out of
+        range (validation checks those before building one).
+        """
+        types = self.types
+        try:
+            func_types = [types[imp.desc] for imp in self.imports
+                          if isinstance(imp.desc, int)]
+            n_imported = len(func_types)
+            func_types += [types[func.type_idx] for func in self.functions]
+        except IndexError:
+            raise WasmError("function type index out of range") from None
+        global_types = [imp.desc for imp in self.imports
+                        if isinstance(imp.desc, GlobalType)]
+        global_types += [glob.type for glob in self.globals]
+        return IndexSpaces(tuple(func_types), tuple(global_types), n_imported,
+                           self.num_tables, self.num_memories)
 
     @property
     def num_tables(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import opcodes
 from .errors import ValidationError
-from .module import Function, Instr, Module
+from .module import Function, IndexSpaces, Instr, Module
 from .types import I32, MAX_PAGES, Limits, MemoryType, TableType, ValType
 
 
@@ -49,12 +49,20 @@ class CtrlFrame:
 
 
 class ExprValidator:
-    """Type checks one instruction sequence (function body or init expr)."""
+    """Type checks one instruction sequence (function body or init expr).
+
+    ``func_idx`` locates errors; ``spaces`` is the module's index-space
+    snapshot, built here when the caller does not share one.
+    """
 
     def __init__(self, module: Module, func: Function | None,
-                 result_types: tuple[ValType, ...], locals_: list[ValType]):
+                 result_types: tuple[ValType, ...], locals_: list[ValType],
+                 *, func_idx: int | None = None,
+                 spaces: IndexSpaces | None = None):
         self.module = module
         self.func = func
+        self.func_idx = func_idx
+        self.spaces = module.index_spaces() if spaces is None else spaces
         self.locals = locals_
         self.vals: list[StackEntry] = []
         self.ctrls: list[CtrlFrame] = [
@@ -65,11 +73,8 @@ class ExprValidator:
     # -- primitive stack operations (spec appendix) ---------------------------
 
     def _error(self, message: str) -> ValidationError:
-        func_idx = None
-        if self.func is not None and self.func in self.module.functions:
-            func_idx = (self.module.num_imported_functions
-                        + self.module.functions.index(self.func))
-        return ValidationError(message, func_idx=func_idx, instr_idx=self.instr_idx)
+        return ValidationError(message, func_idx=self.func_idx,
+                               instr_idx=self.instr_idx)
 
     def push_val(self, valtype: StackEntry) -> None:
         self.vals.append(valtype)
@@ -149,25 +154,19 @@ class ExprValidator:
         self.instr_idx += 1
         if not self.ctrls:
             raise self._error("instruction after the function's final end")
-        op = opcodes.BY_NAME.get(instr.op)
-        if op is None:
+        rule = _RULES.get(instr.op)
+        if rule is None:
             raise self._error(f"unknown instruction {instr.op!r}")
-
-        if op.signature is not None and op.imm not in (opcodes.Imm.LOCAL_IDX,
-                                                       opcodes.Imm.GLOBAL_IDX):
-            params, results = op.signature
-            if op.imm is opcodes.Imm.MEMARG or op.imm is opcodes.Imm.MEM_IDX:
-                self._check_memory_exists(instr)
-            if op.imm is opcodes.Imm.MEMARG:
-                self._check_alignment(instr)
-            self.pop_vals(params)
-            self.push_vals(results)
+        if rule.__class__ is not tuple:
+            rule(self, instr)
             return
-
-        handler = getattr(self, "_step_" + instr.op.replace(".", "_"), None)
-        if handler is None:
-            raise self._error(f"no validation rule for {instr.op}")  # pragma: no cover
-        handler(instr)
+        params, results, imm = rule
+        if imm is opcodes.Imm.MEMARG or imm is opcodes.Imm.MEM_IDX:
+            self._check_memory_exists(instr)
+            if imm is opcodes.Imm.MEMARG:
+                self._check_alignment(instr)
+        self.pop_vals(params)
+        self.push_vals(results)
 
     # control ------------------------------------------------------------------
 
@@ -230,14 +229,15 @@ class ExprValidator:
         self.mark_unreachable()
 
     def _step_call(self, instr: Instr) -> None:
-        if instr.idx >= self.module.num_functions:
+        func_types = self.spaces.func_types
+        if instr.idx >= len(func_types):
             raise self._error(f"call to out-of-range function {instr.idx}")
-        functype = self.module.func_type(instr.idx)
+        functype = func_types[instr.idx]
         self.pop_vals(functype.params)
         self.push_vals(functype.results)
 
     def _step_call_indirect(self, instr: Instr) -> None:
-        if self.module.num_tables == 0:
+        if self.spaces.num_tables == 0:
             raise self._error("call_indirect requires a table")
         if instr.idx >= len(self.module.types):
             raise self._error(f"call_indirect type index {instr.idx} out of range")
@@ -278,14 +278,16 @@ class ExprValidator:
         self.push_val(valtype)
 
     def _step_get_global(self, instr: Instr) -> None:
-        if instr.idx >= self.module.num_globals:
+        global_types = self.spaces.global_types
+        if instr.idx >= len(global_types):
             raise self._error(f"global index {instr.idx} out of range")
-        self.push_val(self.module.global_type(instr.idx).valtype)
+        self.push_val(global_types[instr.idx].valtype)
 
     def _step_set_global(self, instr: Instr) -> None:
-        if instr.idx >= self.module.num_globals:
+        global_types = self.spaces.global_types
+        if instr.idx >= len(global_types):
             raise self._error(f"global index {instr.idx} out of range")
-        globaltype = self.module.global_type(instr.idx)
+        globaltype = global_types[instr.idx]
         if not globaltype.mutable:
             raise self._error(f"set_global of immutable global {instr.idx}")
         self.pop_val(globaltype.valtype)
@@ -293,7 +295,7 @@ class ExprValidator:
     # memory -----------------------------------------------------------------
 
     def _check_memory_exists(self, instr: Instr) -> None:
-        if self.module.num_memories == 0:
+        if self.spaces.num_memories == 0:
             raise self._error(f"{instr.op} requires a memory")
 
     _NATURAL_ALIGN = {
@@ -325,11 +327,33 @@ class ExprValidator:
                 f"{len(self.ctrls)} unclosed block(s) at end of expression")
 
 
-def validate_function(module: Module, func: Function) -> None:
-    """Type check one defined function's body."""
+def _rule(op: opcodes.OpInfo):
+    """How :meth:`ExprValidator.step` checks ``op``: its ``(params,
+    results, immediate kind)`` if monomorphic, else its ``_step_*`` method."""
+    if op.signature is not None and op.imm not in (opcodes.Imm.LOCAL_IDX,
+                                                   opcodes.Imm.GLOBAL_IDX):
+        return (*op.signature, op.imm)
+    return getattr(ExprValidator, "_step_" + op.mnemonic.replace(".", "_"))
+
+
+_RULES = {mnemonic: _rule(op) for mnemonic, op in opcodes.BY_NAME.items()}
+
+
+def validate_function(module: Module, func: Function, *,
+                      func_idx: int | None = None,
+                      spaces: IndexSpaces | None = None) -> None:
+    """Type check one defined function's body.
+
+    ``func_idx`` (the function's index, for error messages) and ``spaces``
+    are passed by :func:`validate_module`; standalone callers may omit them.
+    """
     functype = module.types[func.type_idx]
     locals_ = list(functype.params) + list(func.locals)
-    validator = ExprValidator(module, func, functype.results, locals_)
+    if func_idx is None:
+        func_idx = next((module.num_imported_functions + pos
+                         for pos, f in enumerate(module.functions) if f is func), None)
+    validator = ExprValidator(module, func, functype.results, locals_,
+                              func_idx=func_idx, spaces=spaces)
     if not func.body or func.body[-1].op != "end":
         raise ValidationError("function body must be terminated by end")
     for instr in func.body:
@@ -409,14 +433,16 @@ def validate_module(module: Module) -> None:
     for func in module.functions:
         if func.type_idx >= len(module.types):
             raise ValidationError(f"function references type {func.type_idx} out of range")
+    # every type index is in range now, so the snapshot can be built
+    spaces = module.index_spaces()
     for glob in module.globals:
         _validate_const_expr(module, glob.init, glob.type.valtype, "global")
     seen_exports: set[str] = set()
     limits = {
-        "func": module.num_functions,
-        "table": module.num_tables,
-        "memory": module.num_memories,
-        "global": module.num_globals,
+        "func": spaces.num_functions,
+        "table": spaces.num_tables,
+        "memory": spaces.num_memories,
+        "global": spaces.num_globals,
     }
     for export in module.exports:
         if export.name in seen_exports:
@@ -427,22 +453,23 @@ def validate_module(module: Module) -> None:
                 f"export {export.name!r} references {export.kind} {export.idx} "
                 f"out of range")
     if module.start is not None:
-        if module.start >= module.num_functions:
+        if module.start >= spaces.num_functions:
             raise ValidationError(f"start function {module.start} out of range")
-        start_type = module.func_type(module.start)
+        start_type = spaces.func_types[module.start]
         if start_type.params or start_type.results:
             raise ValidationError(f"start function must have type [] -> [], got {start_type}")
     for segment in module.elements:
-        if module.num_tables == 0:
+        if spaces.num_tables == 0:
             raise ValidationError("element segment without a table")
         _validate_const_expr(module, segment.offset, I32, "element segment")
         for func_idx in segment.func_idxs:
-            if func_idx >= module.num_functions:
+            if func_idx >= spaces.num_functions:
                 raise ValidationError(
                     f"element segment references function {func_idx} out of range")
     for segment in module.data:
-        if module.num_memories == 0:
+        if spaces.num_memories == 0:
             raise ValidationError("data segment without a memory")
         _validate_const_expr(module, segment.offset, I32, "data segment")
-    for func in module.functions:
-        validate_function(module, func)
+    n_imported = spaces.num_imported_functions
+    for pos, func in enumerate(module.functions):
+        validate_function(module, func, func_idx=n_imported + pos, spaces=spaces)
