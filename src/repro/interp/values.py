@@ -209,10 +209,19 @@ BINOPS: dict[str, BinOp] = {}
 
 def _register_int_ops(prefix: str, bits: int) -> None:
     mask = (1 << bits) - 1
+    # Comparisons are single expressions: no ``_bool``/``to_signed`` calls.
+    # XOR with the sign bit maps two's-complement order onto unsigned order
+    # for values in [0, 2**bits). Wasm code only pushes such values
+    # (constants are pre-masked, ``_coerce``/``_coerce_host_result`` in
+    # machine.py mask arguments, initializers and host results), but an
+    # imported global's ``GlobalInstance.value``, a restored snapshot and a
+    # replayed log result reach the stack as the host wrote them, so the
+    # signed compares keep the mask ``to_signed`` applied.
+    sign = 1 << (bits - 1)
     UNOPS[f"{prefix}.clz"] = lambda x: _clz(x, bits)
     UNOPS[f"{prefix}.ctz"] = lambda x: _ctz(x, bits)
     UNOPS[f"{prefix}.popcnt"] = _popcnt
-    UNOPS[f"{prefix}.eqz"] = lambda x: _bool(x == 0)
+    UNOPS[f"{prefix}.eqz"] = lambda x: 1 if x == 0 else 0
     BINOPS[f"{prefix}.add"] = lambda a, b: (a + b) & mask
     BINOPS[f"{prefix}.sub"] = lambda a, b: (a - b) & mask
     BINOPS[f"{prefix}.mul"] = lambda a, b: (a * b) & mask
@@ -231,16 +240,16 @@ def _register_int_ops(prefix: str, bits: int) -> None:
     BINOPS[f"{prefix}.shr_u"] = lambda a, b: a >> (b % bits)
     BINOPS[f"{prefix}.rotl"] = lambda a, b: _rotl(a, b, bits)
     BINOPS[f"{prefix}.rotr"] = lambda a, b: _rotr(a, b, bits)
-    BINOPS[f"{prefix}.eq"] = lambda a, b: _bool(a == b)
-    BINOPS[f"{prefix}.ne"] = lambda a, b: _bool(a != b)
-    BINOPS[f"{prefix}.lt_s"] = lambda a, b: _bool(to_signed(a, bits) < to_signed(b, bits))
-    BINOPS[f"{prefix}.lt_u"] = lambda a, b: _bool(a < b)
-    BINOPS[f"{prefix}.gt_s"] = lambda a, b: _bool(to_signed(a, bits) > to_signed(b, bits))
-    BINOPS[f"{prefix}.gt_u"] = lambda a, b: _bool(a > b)
-    BINOPS[f"{prefix}.le_s"] = lambda a, b: _bool(to_signed(a, bits) <= to_signed(b, bits))
-    BINOPS[f"{prefix}.le_u"] = lambda a, b: _bool(a <= b)
-    BINOPS[f"{prefix}.ge_s"] = lambda a, b: _bool(to_signed(a, bits) >= to_signed(b, bits))
-    BINOPS[f"{prefix}.ge_u"] = lambda a, b: _bool(a >= b)
+    BINOPS[f"{prefix}.eq"] = lambda a, b: 1 if a == b else 0
+    BINOPS[f"{prefix}.ne"] = lambda a, b: 1 if a != b else 0
+    BINOPS[f"{prefix}.lt_s"] = lambda a, b: 1 if ((a & mask) ^ sign) < ((b & mask) ^ sign) else 0
+    BINOPS[f"{prefix}.lt_u"] = lambda a, b: 1 if a < b else 0
+    BINOPS[f"{prefix}.gt_s"] = lambda a, b: 1 if ((a & mask) ^ sign) > ((b & mask) ^ sign) else 0
+    BINOPS[f"{prefix}.gt_u"] = lambda a, b: 1 if a > b else 0
+    BINOPS[f"{prefix}.le_s"] = lambda a, b: 1 if ((a & mask) ^ sign) <= ((b & mask) ^ sign) else 0
+    BINOPS[f"{prefix}.le_u"] = lambda a, b: 1 if a <= b else 0
+    BINOPS[f"{prefix}.ge_s"] = lambda a, b: 1 if ((a & mask) ^ sign) >= ((b & mask) ^ sign) else 0
+    BINOPS[f"{prefix}.ge_u"] = lambda a, b: 1 if a >= b else 0
 
 
 _register_int_ops("i32", 32)

@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from ..interp.predecode import segment_code_cache_info
 from .metrics import (HOOK_LATENCY_BUCKETS, STAGE_SECONDS_BUCKETS, Histogram,
                       MetricsRegistry)
 from .profiler import DEFAULT_SAMPLE_INTERVAL, Profiler
@@ -164,6 +165,19 @@ class Telemetry:
         registry.counter("repro_events_total",
                          help="structured telemetry events").set(
             len(self.events))
+        # process-wide: the segment code cache outlives any one machine
+        segment_codes = segment_code_cache_info()
+        registry.counter(
+            "repro_segment_code_cache_hits_total",
+            help="compiled segments that reused the code of an earlier "
+                 "segment with the same shape").set(segment_codes.hits)
+        registry.counter(
+            "repro_segment_code_cache_misses_total",
+            help="segment shapes compiled (one compile() call each)").set(
+            segment_codes.misses)
+        registry.gauge("repro_segment_code_cache_size",
+                       help="segment shapes held in the code cache").set(
+            segment_codes.size)
         spans = self.tracer.spans
         for span in spans[self._spans_folded:]:
             registry.histogram("repro_stage_seconds",

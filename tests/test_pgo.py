@@ -17,21 +17,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro.eval import (POLYBENCH_FAST_SUBSET, polybench_workloads,
                         realworld_workloads)
-from repro.interp import Machine
+from repro.interp import Machine, predecode
 from repro.interp.pgo import (FUSION_SCHEMA,
                               PROFILE_SCHEMA, fusion_table_payload,
                               load_profile, merge_profiles,
                               record_workload_profile, resolve_fusion_pairs,
                               select_pairs, write_profile)
-from repro.interp.predecode import (DEFAULT_FUSION_PAIRS, OP_SEGMENT,
-                                    _SEGMENT_MIN, _compile_segments,
-                                    decode_function)
+from repro.interp.predecode import (DEFAULT_FUSION_PAIRS, OP_BINARY, OP_GET_LOCAL,
+                                    OP_SEGMENT, OP_SET_LOCAL,
+                                    SEGMENT_CODE_CACHE_MAX, _SEGMENT_MIN,
+                                    _compile_segment, _compile_segments,
+                                    decode_function, segment_code_cache_info)
 from repro.interp.snapshot import (Snapshot, diff_instance, restore_instance,
                                    snapshot_instance)
+from repro.interp.values import BINOPS, MASK32
 from repro.minic import compile_source
 from repro.wasm import Trap, encode_module
 from repro.wasm.builder import ModuleBuilder
-from repro.wasm.types import FuncType, I32
+from repro.wasm.types import F64, FuncType, I32
 
 
 ENGINES = [
@@ -189,6 +192,172 @@ class TestCompiledSegments:
     def test_segment_results_match_legacy(self):
         module = compile_source(self.SRC)
         _assert_identical(_all_engines(module, "kernel", [7, 2.5]))
+
+
+# -- segment code cache ---------------------------------------------------------
+
+
+def _segments(module, func):
+    return [ins[1] for ins in decode_function(func, module, quicken=True).code
+            if ins[0] == OP_SEGMENT]
+
+
+def _shared_shape_module():
+    """Two functions with one segment shape but different values in it.
+
+    Each stores ``a + k`` narrowly at ``base + offset`` and reads it back
+    sign-extended; the functions differ in the constant, in which local is
+    the address, in the memarg offsets and in the store mask (store8 keeps
+    0xff, store16 0xffff).
+    """
+    builder = ModuleBuilder()
+    builder.add_memory(1)
+    variants = (("narrow8", 0, 1, 5, 3, "i32.store8", "i32.load8_s"),
+                ("narrow16", 1, 0, -7, 40, "i32.store16", "i32.load16_s"))
+    for name, base, value, k, offset, store, load in variants:
+        fb = builder.function((I32, I32), (I32,), export=name)
+        fb.get_local(base).get_local(value).i32_const(k).emit("i32.add")
+        fb.store(store, offset=offset)
+        fb.get_local(base).load(load, offset=offset)
+        fb.finish()
+    return builder.build()
+
+
+#: f64 constants whose ``repr`` does not round-trip through source text.
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF4000000000123))[0]
+_SPECIAL_F64 = (-0.0, _NAN_PAYLOAD, float("inf"), float("-inf"))
+
+
+def _special_constants_module():
+    """Stores each special constant, then returns them through a segment."""
+    builder = ModuleBuilder()
+    builder.add_memory(1)
+    fb = builder.function((I32,), (F64, F64, F64, F64), export="specials")
+    for slot, value in enumerate(_SPECIAL_F64):
+        fb.get_local(0).f64_const(value).store("f64.store", offset=8 * slot)
+    for value in _SPECIAL_F64:
+        fb.f64_const(value)
+    fb.finish()
+    return builder.build()
+
+
+def _fold_shape(k: int) -> tuple[list[tuple], list]:
+    """Distinct segment shape ``k``: ``l0 = ((l0 op l1) op l1) ...`` with the
+    ops picked by the base-6 digits of ``k``; returns (slots, op functions)."""
+    names = ("i32.add", "i32.sub", "i32.mul", "i32.and", "i32.or", "i32.xor")
+    ops = []
+    for _ in range(5):
+        k, digit = divmod(k, len(names))
+        ops.append(BINOPS[names[digit]])
+    slots = [(OP_GET_LOCAL, 0)]
+    for fn in ops:
+        slots += [(OP_GET_LOCAL, 1), (OP_BINARY, fn)]
+    slots.append((OP_SET_LOCAL, 0))
+    return slots, ops
+
+
+def _fold(ops, a: int, b: int) -> int:
+    for op in ops:
+        a = op(a, b) & MASK32
+    return a
+
+
+class TestSegmentCodeCache:
+    def test_same_shape_shares_one_code_object(self):
+        module = _shared_shape_module()
+        first, second = (_segments(module, func) for func in module.functions)
+        assert len(first) == len(second) == 1
+        assert first[0] is not second[0]
+        assert first[0].__code__ is second[0].__code__
+        # each keeps its own values: 5 + 250 = 255 stored as a byte reads -1;
+        # -7 + 70000 = 69993 stored as 16 bits (4457) reads back positive
+        runs = _all_engines(module, "narrow8", [100, 250])
+        _assert_identical(runs)
+        assert runs[0][0] == [MASK32]
+        runs = _all_engines(module, "narrow16", [70000, 200])
+        _assert_identical(runs)
+        assert runs[0][0] == [(70000 - 7) & 0xFFFF]
+
+    def test_second_decode_of_equal_body_compiles_nothing(self, monkeypatch):
+        compiles = []
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args[0])
+            return compile(*args, **kwargs)
+
+        first = compile_source(TestCompiledSegments.SRC)
+        second = compile_source(TestCompiledSegments.SRC)
+        func = next(f for f in first.functions if f.body is not None)
+        segments = len(_segments(first, func))
+        assert segments
+        before = segment_code_cache_info()
+        monkeypatch.setattr(predecode, "compile", counting_compile, raising=False)
+        func = next(f for f in second.functions if f.body is not None)
+        assert len(_segments(second, func)) == segments
+        after = segment_code_cache_info()
+        assert compiles == []
+        assert after.misses == before.misses
+        assert after.hits == before.hits + segments
+
+    def test_special_float_constants_bit_identical(self):
+        module = _special_constants_module()
+        func = module.functions[0]
+        assert _segments(module, func), "constants did not form a segment"
+        outputs = []
+        for kwargs in ENGINES:
+            instance = Machine(**kwargs).instantiate(module)
+            results = instance.invoke("specials", [16])
+            outputs.append(([struct.pack("<d", v) for v in results],
+                            bytes(instance.memory.data[16:48])))
+        assert outputs[0] == outputs[1] == outputs[2]
+        expected = b"".join(struct.pack("<d", v) for v in _SPECIAL_F64)
+        assert b"".join(outputs[2][0]) == outputs[2][1] == expected
+
+    def test_constant_shift_counts_wrap(self):
+        # counts at or past the width are reduced when the segment is built;
+        # a count that is also tee'd into a local must keep its full value
+        builder = ModuleBuilder()
+        fb = builder.function((I32,), (I32,), export="shl32")
+        fb.get_local(0).i32_const(35).emit("i32.shl").i32_const(1).emit("i32.add")
+        fb.finish()
+        fb = builder.function((I32,), (I32,), export="tee_count")
+        fb.add_local(I32)
+        fb.get_local(0).i32_const(40).tee_local(1).emit("i32.shl")
+        fb.get_local(1).emit("i32.add")
+        fb.finish()
+        module = builder.build()
+        for func in module.functions:
+            assert _segments(module, func)
+        for name, want in (("shl32", (77 << 3) + 1), ("tee_count", (77 << 8) + 40)):
+            runs = _all_engines(module, name, [77])
+            _assert_identical(runs)
+            assert runs[2][0] == [want]
+
+    def test_cache_stays_bounded_past_its_capacity(self):
+        shapes = SEGMENT_CODE_CACHE_MAX + 64
+        assert shapes <= 6 ** 5  # every k below is a distinct shape
+        start = segment_code_cache_info()
+        codes = set()
+        for k in range(shapes):
+            slots, ops = _fold_shape(k)
+            fn = _compile_segment(slots)
+            codes.add(fn.__code__)
+            assert segment_code_cache_info().size <= SEGMENT_CODE_CACHE_MAX
+            if k % 97 == 0 or k >= SEGMENT_CODE_CACHE_MAX:
+                a, b = 0x9E3779B9 + k, 0x7F4A7C15 ^ k
+                locals_ = [a, b]
+                fn([], locals_, None)
+                assert locals_ == [_fold(ops, a, b), b]
+        assert len(codes) == shapes
+        end = segment_code_cache_info()
+        assert end.misses - start.misses >= shapes
+        assert end.size <= SEGMENT_CODE_CACHE_MAX
+        # a shape evicted by the clear compiles again and still computes
+        slots, ops = _fold_shape(1)
+        locals_ = [7, 3]
+        _compile_segment(slots)([], locals_, None)
+        assert segment_code_cache_info().misses == end.misses + 1
+        assert locals_ == [_fold(ops, 7, 3), 3]
 
 
 # -- call_indirect inline caches ------------------------------------------------

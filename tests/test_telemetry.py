@@ -21,6 +21,7 @@ from repro.cli import main
 from repro.core import Analysis, AnalysisSession
 from repro.eval import POLYBENCH_FAST_SUBSET, polybench_workloads
 from repro.interp import Linker, Machine, ResourceLimits
+from repro.interp.predecode import segment_code_cache_info
 from repro.minic import compile_source
 from repro.obs import (HOOK_LATENCY_BUCKETS, METRICS_SCHEMA, Histogram,
                        MetricsRegistry, Telemetry, Tracer, measure,
@@ -605,6 +606,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "telemetry report" in out
         assert "hot functions" in out
+
+    def test_run_reports_segment_code_cache(self, tmp_path, capsys,
+                                            monkeypatch):
+        # quickened engine regardless of the CI job's engine variables
+        monkeypatch.setenv("REPRO_PREDECODE", "1")
+        monkeypatch.setenv("REPRO_QUICKEN", "1")
+        from repro.wasm import encode_module
+        # both loop increments (and both accumulations) share one shape
+        wasm = tmp_path / "loops.wasm"
+        wasm.write_bytes(encode_module(compile_source("""
+            export func main() -> i32 {
+                var i: i32;
+                var s: i32 = 0;
+                for (i = 0; i < 10; i = i + 1) { s = s + i * 3; }
+                for (i = 0; i < 10; i = i + 1) { s = s + i * 5; }
+                return s;
+            }
+        """)))
+        metrics = tmp_path / "m.json"
+        before = segment_code_cache_info()
+        assert main(["run", str(wasm), "main", "--metrics-out", str(metrics)]) == 0
+        after = segment_code_cache_info()
+        assert after.hits > before.hits
+        payload = json.loads(metrics.read_text())
+        counters = {c["name"]: c["value"] for c in payload["metrics"]["counters"]}
+        gauges = {g["name"]: g["value"] for g in payload["metrics"]["gauges"]}
+        assert counters["repro_segment_code_cache_hits_total"] == after.hits
+        assert counters["repro_segment_code_cache_misses_total"] == after.misses
+        assert gauges["repro_segment_code_cache_size"] == after.size
+        capsys.readouterr()
+        assert main(["report", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert "repro_segment_code_cache_hits_total" in out
+        assert "repro_segment_code_cache_size" in out
 
     def test_report_rejects_non_artifact(self, tmp_path, capsys):
         bogus = tmp_path / "x.json"

@@ -83,6 +83,33 @@ class TestIntegerArithmetic:
         assert BINOPS["i32.lt_u"](minus_one, 0) == 0
         assert BINOPS["i32.gt_s"](1, minus_one) == 1
 
+    # any int, not only canonical ones: a host-written global reaches the
+    # stack unmasked, and the signed compares must read it as to_signed does
+    @pytest.mark.parametrize("prefix,bits", [("i32", 32), ("i64", 64)])
+    @given(a=st.integers(min_value=-2 ** 65, max_value=2 ** 65),
+           b=st.integers(min_value=-2 ** 65, max_value=2 ** 65))
+    def test_signed_comparisons_match_to_signed(self, prefix, bits, a, b):
+        sa, sb = to_signed(a, bits), to_signed(b, bits)
+        assert BINOPS[f"{prefix}.lt_s"](a, b) == int(sa < sb)
+        assert BINOPS[f"{prefix}.gt_s"](a, b) == int(sa > sb)
+        assert BINOPS[f"{prefix}.le_s"](a, b) == int(sa <= sb)
+        assert BINOPS[f"{prefix}.ge_s"](a, b) == int(sa >= sb)
+
+    @pytest.mark.parametrize("prefix,bits", [("i32", 32), ("i64", 64)])
+    def test_comparisons_at_sign_boundary(self, prefix, bits):
+        edges = [0, 1, (1 << (bits - 1)) - 1, 1 << (bits - 1), (1 << bits) - 1]
+        for a in edges:
+            assert UNOPS[f"{prefix}.eqz"](a) == int(a == 0)
+            for b in edges:
+                sa, sb = to_signed(a, bits), to_signed(b, bits)
+                for name, want in [("eq", a == b), ("ne", a != b),
+                                   ("lt_u", a < b), ("gt_u", a > b),
+                                   ("le_u", a <= b), ("ge_u", a >= b),
+                                   ("lt_s", sa < sb), ("gt_s", sa > sb),
+                                   ("le_s", sa <= sb), ("ge_s", sa >= sb)]:
+                    result = BINOPS[f"{prefix}.{name}"](a, b)
+                    assert result == int(want) and type(result) is int
+
     @given(u32, u32)
     def test_add_matches_reference(self, a, b):
         assert BINOPS["i32.add"](a, b) == (a + b) % 2 ** 32
