@@ -83,13 +83,14 @@ def test_fig9(benchmark, write_report):
 
 
 def test_hook_dispatch_speedup(benchmark, results_dir):
-    """Perf floor for call-site-specialized hook dispatch.
+    """Perf floor for site-bound hook dispatch.
 
     Measures, per hook group and for 'all', the relative runtime under
-    generic dispatch (every event parses its location parameters and hits
-    per-site dictionaries) and under pre-bound ``OP_HOOK`` dispatch on the
-    same PolyBench subset, then asserts that specialization removes at
-    least half of the 'all'-hooks overhead:
+    event-time binding (every event parses its location parameters and
+    binds the hook there, through factory-less hook hosts) and under
+    site-bound ``OP_HOOK`` dispatch on the same PolyBench subset, then
+    asserts that site binding removes at least half of the 'all'-hooks
+    overhead:
     geomean (generic-1)/(specialized-1) >= 2. Records BENCH_hooks.json.
     """
     repeats = 3 if full_run() else 1

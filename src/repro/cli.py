@@ -719,8 +719,7 @@ def _run(args: argparse.Namespace, module, call_args, printed, linker,
                 "kind": "invoke",
                 "invocations": [{"export": args.entry,
                                  "args": encode_values(call_args)}],
-                "engine": {"predecode": machine.predecode,
-                           "specialize_hooks": machine.specialize_hooks},
+                "engine": {"predecode": machine.predecode},
                 "limits": asdict(limits) if limits is not None else None,
                 "analysis": args.analysis,
                 "instrument": bool(args.instrument),
@@ -1053,9 +1052,10 @@ def _replay_invoke_bundle(args: argparse.Namespace, bundle) -> int:
         wasi_ctx.register(linker)
 
     analysis_name = manifest.get("analysis", "none")
-    machine = Machine(predecode=predecode,
-                      specialize_hooks=engine.get("specialize_hooks"),
-                      limits=limits, replay=replayer)
+    # bundles written before hook sites were always bound may still carry
+    # an engine flag choosing the hook-binding time; both times dispatch
+    # identically, so it is ignored
+    machine = Machine(predecode=predecode, limits=limits, replay=replayer)
     try:
         if analysis_name == "none" and not manifest.get("instrument"):
             instance = machine.instantiate(module, linker)

@@ -15,33 +15,35 @@ hooks). These functions
 
 before invoking the user's high-level hooks.
 
-Two dispatch strategies coexist:
+**One binder table, two binding times.** What each hook kind does is
+defined once, by :meth:`WasabiRuntime._binder`: a ``bind(location)``
+closure that resolves the static information and value converters of one
+location and returns the ``dispatch(args)`` closure run per event. Every
+dispatcher comes from it, bound at one of two times:
 
-* the **generic dispatcher** (:meth:`WasabiRuntime._make_dispatcher`) parses
-  the trailing location parameters and looks up per-site static information
-  in dictionaries on *every* event — this is the only possible strategy on
-  engines that call hook imports like any other host function, and it is
-  kept as the differential-testing oracle;
-* the **site factory** (:meth:`WasabiRuntime._site_factory`) is handed to
-  the pre-decoding engine via the ``site_factory`` host-function attribute.
-  The engine calls it once per fused ``const/const/call`` site, and the
-  returned closure has the :class:`Location`, static info (branch targets,
-  memarg offsets, variable indices, call targets, begin/end matching), and
-  value converters all pre-bound, so per event nothing is looked up.
+* **site-bound** — the host function's ``site_factory`` attribute hands
+  the pre-decoding engine a factory it calls once per fused
+  ``const/const/call`` site, so per event nothing is looked up;
+* **event-time** — the host function's own ``fn`` reads the
+  :class:`Location` from the trailing location parameters
+  (``Location(-1, -1)`` without them) and calls ``bind(location)(args)``
+  on every event. The legacy engine, modules instrumented with
+  ``emit_locations=False``, and sites whose factory raised use this path;
+  it is also the differential oracle for the site-bound one.
 
 Hooks whose high-level methods the analysis does not override dispatch to a
-shared no-op in both strategies.
+shared no-op at both binding times.
 
-**Fault containment.** Every dispatcher (generic and specialized) runs the
-analysis under a containment wrapper: an exception escaping a hook is
-wrapped in :class:`~repro.wasm.errors.AnalysisError` carrying the hook name
-and :class:`Location`, and then handled per the runtime's
-``on_analysis_error`` policy — ``raise`` (propagate to the embedder),
-``abort`` (trap the guest with :class:`~repro.wasm.errors.AnalysisAbort`),
-``quarantine`` (atomically swap that hook's dispatchers — specialized
-``OP_HOOK`` sites included, via the host functions' site registries — for
-the shared no-op and keep the guest running), or ``log`` (record, report on
-stderr, keep dispatching).
+**Fault containment.** Every dispatcher runs the analysis under
+containment: an exception escaping a hook (or a bind failing for a location
+without static info) is wrapped in :class:`~repro.wasm.errors.AnalysisError`
+carrying the hook name and :class:`Location`, and then handled per the
+runtime's ``on_analysis_error`` policy — ``raise`` (propagate to the
+embedder), ``abort`` (trap the guest with
+:class:`~repro.wasm.errors.AnalysisAbort`), ``quarantine`` (atomically swap
+that hook's dispatchers — bound ``OP_HOOK`` sites included, via the host
+functions' site registries — for the shared no-op and keep the guest
+running), or ``log`` (record, report on stderr, keep dispatching).
 """
 
 from __future__ import annotations
@@ -65,46 +67,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs → interp)
 #: Valid ``on_analysis_error`` policies.
 ERROR_POLICIES = ("raise", "abort", "quarantine", "log")
 
+Dispatcher = Callable[[list], None]
+Binder = Callable[[Location], Dispatcher]
+SiteFactory = Callable[[int, int], Dispatcher]
 
-def _present(valtype: ValType, raw: int | float) -> int | float:
-    """Convert a canonical runtime value to its analysis-facing form.
-
-    Integers become signed Python ints (the JavaScript ``number`` /
-    long.js view of the paper's Figure 5); floats pass through.
-    """
-    if valtype is ValType.I32:
-        return to_signed(raw, 32)
-    if valtype is ValType.I64:
-        return to_signed(raw, 64)
-    return raw
-
-
-#: hook kind → analysis method(s) a dispatcher for that kind may invoke.
-_KIND_TO_METHODS: dict[str, tuple[str, ...]] = {
-    "const": ("const_",),
-    "drop": ("drop",),
-    "select": ("select",),
-    "unary": ("unary",),
-    "binary": ("binary",),
-    "load": ("load",),
-    "store": ("store",),
-    "local": ("local",),
-    "global": ("global_",),
-    "memory_size": ("memory_size",),
-    "memory_grow": ("memory_grow",),
-    "call_pre": ("call_pre",),
-    "call_post": ("call_post",),
-    "return": ("return_",),
-    "br": ("br",),
-    "br_if": ("br_if",),
-    # the br_table dispatcher also fires the end hooks of traversed blocks
-    "br_table": ("br_table", "end"),
-    "if": ("if_",),
-    "begin": ("begin",),
-    "end": ("end",),
-    "nop": ("nop",),
-    "unreachable": ("unreachable",),
-}
+def _hook_methods(kind: str) -> tuple[str, ...]:
+    """Analysis method(s) a dispatcher for a hook kind may invoke: the one
+    named after the kind (``const_``, ``global_``, ``return_`` and ``if_``
+    carry a trailing underscore), plus ``end`` for ``br_table``, whose
+    dispatcher also fires the end hooks of traversed blocks."""
+    method = kind if hasattr(Analysis, kind) else kind + "_"
+    return (method, "end") if kind == "br_table" else (method,)
 
 
 def _overrides(analysis: Analysis, method_name: str) -> bool:
@@ -120,6 +93,9 @@ def _overrides(analysis: Analysis, method_name: str) -> bool:
 _SIGN32 = 1 << 31
 _SIGN64 = 1 << 63
 
+#: Location of every event on modules instrumented without locations.
+_NO_LOCATION = Location(-1, -1)
+
 
 def _part_extractors(value_types: tuple[ValType, ...]):
     """Per logical hook value: ``(raw, presented)`` extractor pairs.
@@ -127,8 +103,9 @@ def _part_extractors(value_types: tuple[ValType, ...]):
     Each extractor takes the flat (post-i64-split) raw argument list and
     returns one logical value; ``raw`` keeps the engine's canonical unsigned
     form (used for addresses and table indices), ``presented`` applies the
-    Figure-5 conversion of :func:`_present`. Split i64 halves are re-joined
-    by both. Index arithmetic happens here, once, at specialization time.
+    Figure-5 conversion: integers become signed Python ints (the JavaScript
+    ``number`` / long.js view), floats pass through. Split i64 halves are
+    re-joined by both. Index arithmetic happens here, once, per hook.
     """
     raws: list = []
     presented: list = []
@@ -155,6 +132,11 @@ def _part_extractors(value_types: tuple[ValType, ...]):
 
 def _noop_dispatcher(args: list) -> None:
     """Shared dispatcher for hooks whose analysis methods are not overridden."""
+
+
+def _noop_factory(func_const: int, instr_const: int) -> Dispatcher:
+    """Site factory of a dead hook: every site binds the shared no-op."""
+    return _noop_dispatcher
 
 
 class WasabiRuntime:
@@ -202,47 +184,46 @@ class WasabiRuntime:
     def host_functions(self) -> dict[str, HostFunction]:
         """One generated host function per low-level hook.
 
-        Each host function is annotated for the pre-decoding engine:
-        ``is_wasabi_hook`` marks it void-by-construction, and (when hooks
-        carry location parameters) ``site_factory`` lets the engine request
-        a per-call-site specialized dispatcher at instantiation time.
+        ``fn`` is the hook's event-time dispatcher. Each host function is
+        also annotated for the pre-decoding engine: ``is_wasabi_hook``
+        marks it void-by-construction, and (when hooks carry location
+        parameters) ``site_factory`` binds each call site at instantiation.
         """
         out: dict[str, HostFunction] = {}
         for spec in self.info.hooks:
-            dispatcher = self._contain(
-                self._timed(self._make_dispatcher(spec), spec.name), spec.name)
-            host = HostFunction(spec.functype, dispatcher, name=spec.name)
+            bind = self._binder(spec)
+            if bind is None:
+                fn, factory = _noop_dispatcher, _noop_factory
+            else:
+                fn = self._timed(self._event_time(spec.name, bind), spec.name)
+                factory = self._site_factory(spec.name, bind)
+            host = HostFunction(spec.functype, fn, name=spec.name)
             host.is_wasabi_hook = True
             # every OP_HOOK site bound from this host is recorded here by
             # bind_hook_sites, so quarantine() can swap them for the no-op
             host.site_registry = []
             if self._with_locations:
-                host.site_factory = self._site_factory(spec)
+                host.site_factory = factory
             out[spec.name] = host
         self._hosts.update(out)
         return out
 
-    def _hook_is_live(self, spec: HookSpec) -> bool:
-        """Whether any analysis method this hook dispatches to is overridden."""
-        return any(_overrides(self.analysis, method)
-                   for method in _KIND_TO_METHODS[spec.kind])
-
     # -- telemetry ---------------------------------------------------------------
 
-    def _timed(self, inner: Callable[[list], None],
-               hook_name: str) -> Callable[[list], None]:
+    def _timed(self, inner: Dispatcher, hook_name: str) -> Dispatcher:
         """Wrap a dispatcher so each dispatch is timed into the telemetry's
         per-hook latency histogram.
 
         The histogram (and its ``.observe``) is resolved once per hook at
         wrap time, so the per-dispatch cost is two clock reads and one
-        bisect. Without telemetry (or for the shared no-op of a dead hook)
-        the dispatcher passes through untouched — the disabled path adds
-        nothing. Containment wraps *outside* this, so a faulting dispatch
-        still records its latency before the policy applies.
+        bisect. Without telemetry the dispatcher passes through untouched —
+        the disabled path adds nothing. A faulting dispatch still records
+        its latency: site-bound containment wraps *outside* this, and the
+        event-time dispatcher (whose timing includes its bind) contains
+        inside it.
         """
         tele = self.telemetry
-        if tele is None or inner is _noop_dispatcher:
+        if tele is None:
             return inner
         observe = tele.hook_histogram(hook_name).observe
         clock = tele.clock
@@ -258,18 +239,16 @@ class WasabiRuntime:
 
     # -- fault containment ---------------------------------------------------
 
-    def _contain(self, inner: Callable[[list], None], hook_name: str,
-                 location: Location | None = None) -> Callable[[list], None]:
-        """Wrap a dispatcher so hook exceptions are contained per policy.
+    def _contain(self, inner: Dispatcher, hook_name: str,
+                 location: Location) -> Dispatcher:
+        """Wrap a site-bound dispatcher so hook exceptions are contained per
+        policy.
 
-        The shared no-op passes through unwrapped (it cannot raise), so
-        dead hooks keep identity-comparable no-op dispatch. Exceptions that
-        are already :class:`AnalysisError` (a nested contained dispatch, or
-        an :class:`AnalysisAbort` trap in flight) propagate unwrapped.
-        ``KeyboardInterrupt``/``SystemExit`` are never contained.
+        Exceptions that are already :class:`AnalysisError` (a nested
+        contained dispatch, or an :class:`AnalysisAbort` trap in flight)
+        propagate unwrapped. ``KeyboardInterrupt``/``SystemExit`` are never
+        contained.
         """
-        if inner is _noop_dispatcher:
-            return inner
 
         def contained(args: list) -> None:
             try:
@@ -277,24 +256,15 @@ class WasabiRuntime:
             except AnalysisError:
                 raise
             except Exception as exc:
-                self._hook_fault(exc, hook_name, location, args)
+                self._hook_fault(exc, hook_name, location)
 
         return contained
 
     def _hook_fault(self, exc: Exception, hook_name: str,
-                    location: Location | None, args: list) -> None:
+                    location: Location) -> None:
         """Record one contained hook fault and apply the error policy."""
-        if location is None:
-            # generic dispatchers have no statically bound Location; recover
-            # it from the trailing location parameters when present
-            if self._with_locations and len(args) >= 2:
-                try:
-                    location = Location(args[-2], to_signed(args[-1], 32))
-                except (TypeError, IndexError):
-                    location = None
-        where = f" at {location}" if location is not None else ""
         message = (f"analysis hook {hook_name!r} raised "
-                   f"{type(exc).__name__}: {exc}{where}")
+                   f"{type(exc).__name__}: {exc} at {location}")
         policy = self.on_analysis_error
         cls = AnalysisAbort if policy == "abort" else AnalysisError
         error = cls(message, hook_name=hook_name, location=location)
@@ -302,11 +272,9 @@ class WasabiRuntime:
         self.hook_faults.append(error)
         tele = self.telemetry
         if tele is not None:
-            tele.event("hook_fault", hook=hook_name,
-                       func=location.func if location is not None else None,
-                       instr=location.instr if location is not None else None,
-                       exception=type(exc).__name__, policy=policy,
-                       message=str(exc))
+            tele.event("hook_fault", hook=hook_name, func=location.func,
+                       instr=location.instr, exception=type(exc).__name__,
+                       policy=policy, message=str(exc))
         replay = self.replay
         if replay is not None:
             # record (or verify, when replaying) before the policy applies,
@@ -325,12 +293,12 @@ class WasabiRuntime:
     def quarantine(self, hook_name: str) -> None:
         """Atomically replace every dispatcher of one hook with the no-op.
 
-        Swaps the host function's ``fn`` (the generic/legacy dispatch path)
-        and every specialized ``OP_HOOK`` site recorded in its site
-        registry. Each swap is a single reference assignment, so a swap is
-        atomic under the GIL and takes effect immediately — the engines read
-        dispatchers from the live instruction stream, so even sites reached
-        later in the *current* invocation dispatch to the no-op.
+        Swaps the host function's ``fn`` (the event-time dispatcher) and
+        every bound ``OP_HOOK`` site recorded in its site registry. Each
+        swap is a single reference assignment, so a swap is atomic under
+        the GIL and takes effect immediately — the engines read dispatchers
+        from the live instruction stream, so even sites reached later in
+        the *current* invocation dispatch to the no-op.
         """
         self._quarantined.add(hook_name)
         if self.telemetry is not None:
@@ -345,27 +313,6 @@ class WasabiRuntime:
             ins = code[pc]
             code[pc] = (ins[0], _noop_dispatcher, ins[2], ins[3])
 
-    def _split_args(self, spec: HookSpec,
-                    raw: list[int | float]) -> tuple[Location, list[int | float]]:
-        if self._with_locations:
-            func_idx = raw[-2]
-            instr_idx = to_signed(raw[-1], 32)
-            raw = raw[:-2]
-        else:
-            func_idx, instr_idx = -1, -1
-        location = Location(func_idx, instr_idx)
-        values: list[int | float] = []
-        cursor = 0
-        for valtype in spec.value_types:
-            if valtype is I64:
-                low, high = raw[cursor], raw[cursor + 1]
-                values.append(low | (high << 32))
-                cursor += 2
-            else:
-                values.append(raw[cursor])
-                cursor += 1
-        return location, values
-
     def _original_func_idx(self, instrumented_idx: int) -> int:
         """Map a function index of the instrumented module back to the
         original index space (inverse of the instrumenter's remapping)."""
@@ -373,207 +320,27 @@ class WasabiRuntime:
             return instrumented_idx
         return instrumented_idx - self._num_hooks
 
-    def _make_dispatcher(self, spec: HookSpec) -> Callable[[list], None]:
-        analysis = self.analysis
-        kind = spec.kind
-        payload = spec.payload
-        info = self.info
+    # -- the binder table ------------------------------------------------------
 
-        # A hook whose high-level methods the analysis never overrides can
-        # only ever reach Analysis' empty default bodies: share one no-op.
-        if not self._hook_is_live(spec):
-            return _noop_dispatcher
+    def _binder(self, spec: HookSpec) -> Binder | None:
+        """The one definition of what a hook does: ``bind(loc) -> dispatch``.
 
-        # Fast path: without i64 values there is no split-halves re-joining,
-        # so the raw args *are* the values and the generic cursor walk in
-        # _split_args can be skipped. Hooks fire once per executed
-        # instruction, so this is the hottest code outside the interpreter.
-        if any(t is I64 for t in spec.value_types):
-            def loc_and_vals(args: list) -> tuple[Location, list]:
-                return self._split_args(spec, args)
-        elif self._with_locations:
-            def loc_and_vals(args: list) -> tuple[Location, list]:
-                return Location(args[-2], to_signed(args[-1], 32)), args[:-2]
-        else:
-            no_loc = Location(-1, -1)
-            def loc_and_vals(args: list) -> tuple[Location, list]:
-                return no_loc, args
-
-        if kind == "const":
-            valtype = payload[0]
-            def dispatch(args: list) -> None:
-                loc, (value,) = loc_and_vals(args)
-                analysis.const_(loc, _present(valtype, value))
-        elif kind == "drop":
-            valtype = payload[0]
-            def dispatch(args: list) -> None:
-                loc, (value,) = loc_and_vals(args)
-                analysis.drop(loc, _present(valtype, value))
-        elif kind == "select":
-            valtype = payload[0]
-            def dispatch(args: list) -> None:
-                loc, (first, second, condition) = loc_and_vals(args)
-                analysis.select(loc, bool(condition),
-                                _present(valtype, first),
-                                _present(valtype, second))
-        elif kind in ("unary", "binary"):
-            op = payload[0]
-            from ..wasm.opcodes import BY_NAME
-            params, results = BY_NAME[op].signature
-            if kind == "unary":
-                def dispatch(args: list) -> None:
-                    loc, (inp, res) = loc_and_vals(args)
-                    analysis.unary(loc, op, _present(params[0], inp),
-                                   _present(results[0], res))
-            else:
-                def dispatch(args: list) -> None:
-                    loc, (first, second, res) = loc_and_vals(args)
-                    analysis.binary(loc, op, _present(params[0], first),
-                                    _present(params[1], second),
-                                    _present(results[0], res))
-        elif kind == "load":
-            op = payload[0]
-            from ..wasm.opcodes import BY_NAME
-            valtype = BY_NAME[op].signature[1][0]
-            def dispatch(args: list) -> None:
-                loc, (addr, value) = loc_and_vals(args)
-                offset = info.memarg_offsets.get((loc.func, loc.instr), 0)
-                analysis.load(loc, op, MemArg(addr, offset),
-                              _present(valtype, value))
-        elif kind == "store":
-            op = payload[0]
-            from ..wasm.opcodes import BY_NAME
-            valtype = BY_NAME[op].signature[0][1]
-            def dispatch(args: list) -> None:
-                loc, (addr, value) = loc_and_vals(args)
-                offset = info.memarg_offsets.get((loc.func, loc.instr), 0)
-                analysis.store(loc, op, MemArg(addr, offset),
-                               _present(valtype, value))
-        elif kind == "local":
-            op, valtype = payload
-            def dispatch(args: list) -> None:
-                loc, (value,) = loc_and_vals(args)
-                index = info.var_indices[(loc.func, loc.instr)]
-                analysis.local(loc, op, index, _present(valtype, value))
-        elif kind == "global":
-            op, valtype = payload
-            def dispatch(args: list) -> None:
-                loc, (value,) = loc_and_vals(args)
-                index = info.var_indices[(loc.func, loc.instr)]
-                analysis.global_(loc, op, index, _present(valtype, value))
-        elif kind == "memory_size":
-            def dispatch(args: list) -> None:
-                loc, (size,) = loc_and_vals(args)
-                analysis.memory_size(loc, size)
-        elif kind == "memory_grow":
-            def dispatch(args: list) -> None:
-                loc, (delta, previous) = loc_and_vals(args)
-                analysis.memory_grow(loc, delta, previous)
-        elif kind == "call_pre":
-            indirect = payload[0] == "indirect"
-            param_types = payload[1:]
-            if indirect:
-                def dispatch(args: list) -> None:
-                    loc, values = loc_and_vals(args)
-                    table_index = values[0]
-                    call_args = [_present(t, v)
-                                 for t, v in zip(param_types, values[1:])]
-                    target = -1
-                    if self.instance is not None and self.instance.table is not None:
-                        entry = self.instance.table.lookup(table_index)
-                        if entry is not None:
-                            target = self._original_func_idx(entry)
-                    analysis.call_pre(loc, target, call_args, table_index)
-            else:
-                def dispatch(args: list) -> None:
-                    loc, values = loc_and_vals(args)
-                    call_args = [_present(t, v)
-                                 for t, v in zip(param_types, values)]
-                    target = info.call_targets[(loc.func, loc.instr)]
-                    analysis.call_pre(loc, target, call_args, None)
-        elif kind == "call_post":
-            result_types = payload
-            def dispatch(args: list) -> None:
-                loc, values = loc_and_vals(args)
-                analysis.call_post(
-                    loc, [_present(t, v) for t, v in zip(result_types, values)])
-        elif kind == "return":
-            result_types = payload
-            def dispatch(args: list) -> None:
-                loc, values = loc_and_vals(args)
-                analysis.return_(
-                    loc, [_present(t, v) for t, v in zip(result_types, values)])
-        elif kind == "br":
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                analysis.br(loc, info.br_targets[(loc.func, loc.instr)])
-        elif kind == "br_if":
-            def dispatch(args: list) -> None:
-                loc, (condition,) = loc_and_vals(args)
-                analysis.br_if(loc, info.br_targets[(loc.func, loc.instr)],
-                               bool(condition))
-        elif kind == "br_table":
-            def dispatch(args: list) -> None:
-                loc, (table_index,) = loc_and_vals(args)
-                table_info = info.br_tables[(loc.func, loc.instr)]
-                analysis.br_table(loc, table_info.targets, table_info.default,
-                                  table_index)
-                _, ended = table_info.select(table_index)
-                for event in ended:
-                    analysis.end(event.end, event.kind, event.begin)
-        elif kind == "if":
-            def dispatch(args: list) -> None:
-                loc, (condition,) = loc_and_vals(args)
-                analysis.if_(loc, bool(condition))
-        elif kind == "begin":
-            block_type = payload[0]
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                analysis.begin(loc, block_type)
-        elif kind == "end":
-            block_type = payload[0]
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                begin = info.begin_of_end[(loc.func, loc.instr, block_type)]
-                analysis.end(loc, block_type, begin)
-        elif kind == "nop":
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                analysis.nop(loc)
-        elif kind == "unreachable":
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                analysis.unreachable(loc)
-        else:  # pragma: no cover - registry only produces known kinds
-            raise ValueError(f"unknown hook kind {kind!r}")
-
-        return dispatch
-
-    # -- per-call-site specialization ---------------------------------------------
-
-    def _site_factory(self, spec: HookSpec) -> Callable[[int, int], Callable[[list], None]]:
-        """Build the specialization factory the pre-decoding engine calls.
-
-        The engine invokes the returned factory once per fused
-        ``const/const/call`` hook site with the two raw location constants;
-        the factory returns a dispatcher over the popped value arguments
-        with everything constant at that site — the :class:`Location`,
-        memarg offset, variable index, direct-call target, branch targets,
-        br_table entries, begin/end matching, and the value converters —
-        resolved here, never per event. A factory raising (a site with no
-        static info) makes the engine fall back to the generic dispatcher,
-        which fails or succeeds at event time exactly like the
-        unspecialized engine.
+        ``bind`` resolves everything constant at one location — memarg
+        offset, variable index, direct-call target, branch targets,
+        br_table entries, begin/end matching — and the value converters;
+        the returned ``dispatch(args)`` reads the hook's values from the
+        front of the raw argument list (trailing location parameters, when
+        present, are never read). ``bind`` raises when the location has no
+        static info. None means the hook is dead: the analysis overrides
+        none of the methods it could reach.
         """
         analysis = self.analysis
+        if not any(_overrides(analysis, method)
+                   for method in _hook_methods(spec.kind)):
+            return None
         kind = spec.kind
         payload = spec.payload
         info = self.info
-
-        if not self._hook_is_live(spec):
-            def noop_factory(func_const: int, instr_const: int) -> Callable[[list], None]:
-                return _noop_dispatcher
-            return noop_factory
 
         raws, presented = _part_extractors(spec.value_types)
         # the hottest dispatchers (pure-i32 and pure-float shapes) are
@@ -795,10 +562,21 @@ class WasabiRuntime:
                 return dispatch
         else:  # pragma: no cover - registry only produces known kinds
             raise ValueError(f"unknown hook kind {kind!r}")
+        return bind
 
-        hook_name = spec.name
+    # -- the two binding times ---------------------------------------------------
 
-        def factory(func_const: int, instr_const: int) -> Callable[[list], None]:
+    def _site_factory(self, hook_name: str, bind: Binder) -> SiteFactory:
+        """Site-bound dispatch: the factory the pre-decoding engine calls.
+
+        The engine invokes it once per fused ``const/const/call`` hook site
+        with the two raw location constants, and runs ``bind(location)``
+        wrapped in timing and containment at that site from then on. A
+        factory raising (a site with no static info) makes the engine fall
+        back to the host function, which binds at event time and so faults
+        inside containment there, exactly like the legacy engine.
+        """
+        def factory(func_const: int, instr_const: int) -> Dispatcher:
             # the begin-function hook's instr index is emitted as -1 and
             # arrives pre-masked; the func index is always nonnegative
             if hook_name in self._quarantined:
@@ -807,3 +585,26 @@ class WasabiRuntime:
             return self._contain(self._timed(bind(location), hook_name),
                                  hook_name, location)
         return factory
+
+    def _event_time(self, hook_name: str, bind: Binder) -> Dispatcher:
+        """Event-time dispatch: the host function's own ``fn``.
+
+        Reads the :class:`Location` from the trailing location parameters
+        (``Location(-1, -1)`` for modules instrumented without them) and
+        calls ``bind(location)(args)`` on every event. Binding runs inside
+        containment, so a location without static info faults like any
+        other analysis error. Binds are deliberately not memoized: this path
+        is the oracle for the site-bound one.
+        """
+        with_locations = self._with_locations
+
+        def dispatch(args: list) -> None:
+            location = (Location(args[-2], to_signed(args[-1], 32))
+                        if with_locations else _NO_LOCATION)
+            try:
+                bind(location)(args)
+            except AnalysisError:
+                raise
+            except Exception as exc:
+                self._hook_fault(exc, hook_name, location)
+        return dispatch

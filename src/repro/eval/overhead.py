@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..core.hooks import HOOK_MODULE
 from ..core.session import AnalysisSession
+from ..interp.host import Linker
 from ..interp.machine import Machine
 from ..obs.spans import Tracer, measure
 from .hooks_matrix import FIGURE_GROUPS, make_full_analysis, make_group_analysis
@@ -60,18 +62,40 @@ def baseline_runtime(workload: Workload, repeats: int = 3,
                      tracer=tracer, attrs={"workload": workload.name})
 
 
+class EventTimeLinker(Linker):
+    """Resolves ``base``'s imports, but links Wasabi hooks factory-less.
+
+    A hook host without a ``site_factory`` makes every ``OP_HOOK`` site of
+    the pre-decoding engine fuse only its location constants and call the
+    runtime's event-time dispatcher, which binds the hook on every event.
+    """
+
+    def __init__(self, base: Linker):
+        super().__init__()
+        self.base = base
+
+    def define(self, module: str, name: str, item: object) -> Linker:
+        if module == HOOK_MODULE:
+            item.site_factory = None
+        self.base.define(module, name, item)
+        return self
+
+    def resolve(self, module: str, name: str) -> object:
+        return self.base.resolve(module, name)
+
+
 def instrumented_runtime(workload: Workload, config: str,
                          repeats: int = 3,
                          predecode: bool | None = None,
-                         specialize: bool | None = None,
+                         specialize: bool = True,
                          clock: Callable[[], float] | None = None,
                          tracer: Tracer | None = None) -> float:
     """Instrumented runtime under one hook configuration.
 
-    ``specialize`` selects the hook-dispatch strategy of the pre-decoding
-    engine: per-call-site ``OP_HOOK`` dispatchers (True, the default) or the
-    generic host-call path (False); None = the
-    :envvar:`REPRO_SPECIALIZE_HOOKS` default.
+    ``specialize`` selects the hook-binding time on the pre-decoding engine:
+    site-bound ``OP_HOOK`` dispatchers (True, what every session runs) or
+    event-time binding through factory-less hook hosts (False, the oracle
+    and the baseline of the hook-dispatch floor).
     """
     if config == "all":
         analysis = make_full_analysis()
@@ -79,10 +103,12 @@ def instrumented_runtime(workload: Workload, config: str,
     else:
         analysis = make_group_analysis(config)
         groups = frozenset({config})
+    linker = workload.linker()
     session = AnalysisSession(workload.module(), analysis,
-                              linker=workload.linker(), groups=groups,
-                              machine=Machine(predecode=predecode,
-                                              specialize_hooks=specialize))
+                              linker=(linker if specialize
+                                      else EventTimeLinker(linker)),
+                              groups=groups,
+                              machine=Machine(predecode=predecode))
     return _time_run(lambda: session.invoke(workload.entry, workload.args),
                      repeats, name="instrumented_invoke", clock=clock,
                      tracer=tracer,
@@ -92,7 +118,6 @@ def instrumented_runtime(workload: Workload, config: str,
 def overhead_sweep(workload: Workload, configs: list[str] | None = None,
                    repeats: int = 3, include_all: bool = True,
                    predecode: bool | None = None,
-                   specialize: bool | None = None,
                    clock: Callable[[], float] | None = None,
                    tracer: Tracer | None = None) -> list[OverheadReport]:
     """Relative runtime for every hook group (Figure 9's x-axis)."""
@@ -102,13 +127,11 @@ def overhead_sweep(workload: Workload, configs: list[str] | None = None,
     for config in (configs or FIGURE_GROUPS):
         elapsed = instrumented_runtime(workload, config, repeats,
                                        predecode=predecode,
-                                       specialize=specialize,
                                        clock=clock, tracer=tracer)
         reports.append(OverheadReport(workload.name, config, baseline, elapsed))
     if include_all:
         elapsed = instrumented_runtime(workload, "all", repeats,
                                        predecode=predecode,
-                                       specialize=specialize,
                                        clock=clock, tracer=tracer)
         reports.append(OverheadReport(workload.name, "all", baseline, elapsed))
     return reports
@@ -124,16 +147,17 @@ def _geomean(values: list[float]) -> float:
 def hook_dispatch_payload(workloads: list[Workload],
                           configs: list[str] | None = None,
                           repeats: int = 3) -> dict:
-    """Before/after comparison of the two hook-dispatch strategies.
+    """Before/after comparison of the two hook-binding times.
 
     For each workload and hook configuration, measures the relative runtime
-    under generic dispatch ("before": every event parses locations and hits
-    per-site dicts) and under call-site-specialized ``OP_HOOK`` dispatch
-    ("after"), both on the pre-decoding engine against the same
-    uninstrumented baseline. The improvement metric is the ratio of *pure
-    hook overheads* ``(R_before - 1) / (R_after - 1)``, which isolates the
-    dispatch cost from the interpreter's own runtime; the JSON payload backs
-    ``BENCH_hooks.json`` and the CI hook-overhead floor.
+    under event-time binding ("generic", before: every event parses its
+    location and binds the hook there) and under site-bound ``OP_HOOK``
+    dispatch ("specialized", after), both on the pre-decoding engine
+    against the same uninstrumented baseline. The improvement metric is the
+    ratio of *pure hook overheads* ``(R_before - 1) / (R_after - 1)``,
+    which isolates the dispatch cost from the interpreter's own runtime;
+    the JSON payload backs ``BENCH_hooks.json`` and the CI hook-overhead
+    floor.
     """
     configs = list(configs or (FIGURE_GROUPS + ["all"]))
     per_workload: list[dict] = []

@@ -54,14 +54,6 @@ def predecode_default() -> bool:
     return os.environ.get("REPRO_PREDECODE", "1").lower() not in ("0", "false", "no", "off")
 
 
-def specialize_hooks_default() -> bool:
-    """Whether hook call sites are fused into pre-bound ``OP_HOOK``
-    dispatchers, from ``REPRO_SPECIALIZE_HOOKS`` (default on). Only
-    meaningful on pre-decoding machines."""
-    return os.environ.get("REPRO_SPECIALIZE_HOOKS", "1").lower() not in (
-        "0", "false", "no", "off")
-
-
 def quicken_default() -> bool:
     """Whether memory ops are quickened and ``call_indirect`` sites get
     inline caches, from ``REPRO_QUICKEN`` (default on). Only meaningful on
@@ -149,8 +141,10 @@ def bind_hook_sites(decoded: DecodedFunction,
     * hosts annotated with a ``site_factory`` (the Wasabi runtime's
       location-aware hooks) get a closure bound to this exact call site —
       Location, static info, and presentation converters all resolved once;
-    * any other hook import gets a generic closure that merely pre-fuses
-      the constant operands (still skipping per-event marshalling).
+    * any other hook import, and any site whose factory raised, gets a
+      generic closure that merely pre-fuses the constant operands (still
+      skipping per-event marshalling) and calls the host's ``fn`` — for
+      Wasabi hooks, the runtime's event-time dispatcher.
 
     The shared per-:class:`~repro.wasm.module.Function` decode cache is
     never mutated: the returned stream is a per-instance copy.
@@ -167,7 +161,7 @@ def bind_hook_sites(decoded: DecodedFunction,
         n_params = ins[2]
         factory = getattr(host, "site_factory", None)
         # hosts built by the Wasabi runtime carry a site registry so that
-        # fault containment can atomically swap specialized sites for the
+        # fault containment can atomically swap bound sites for the
         # shared no-op after a hook fault (quarantine policy)
         registry = getattr(host, "site_registry", None)
         if (pc >= 2 and n_params >= 2
@@ -181,8 +175,8 @@ def bind_hook_sites(decoded: DecodedFunction,
                     bound = factory(func_const, instr_const)
                 except Exception:
                     # a site the runtime has no static info for: keep the
-                    # generic path, which fails (or not) at event time
-                    # exactly like the unspecialized engine
+                    # event-time path, which fails (or not) inside
+                    # containment exactly like the legacy engine
                     bound = None
             if bound is None:
                 bound = _generic_hook_dispatcher(host, (func_const, instr_const))
@@ -230,8 +224,8 @@ class WasmFunction:
     """A defined function bound to its instance, with precomputed dispatch.
 
     ``decoded`` holds the pre-decoded threaded stream (None on machines with
-    ``predecode=False``); on machines with ``specialize_hooks`` the stream's
-    hook call sites are rebound per instance into ``OP_HOOK`` dispatchers;
+    ``predecode=False``); its hook call sites are rebound per instance into
+    ``OP_HOOK`` dispatchers;
     ``matching`` is the legacy block-matching table, built lazily so
     pre-decoding machines never pay for it.
     """
@@ -267,7 +261,7 @@ class WasmFunction:
                 # precede hook binding so the quarantine registry ends up
                 # referencing the same (final) code list the engine runs
                 decoded = bind_indirect_caches(decoded, instance)
-            if decoded.hook_sites and machine.specialize_hooks:
+            if decoded.hook_sites:
                 decoded = bind_hook_sites(decoded, instance.functions)
             self.decoded: DecodedFunction | None = decoded
             if hit:
@@ -437,11 +431,6 @@ class Machine:
     threaded loop, False for the legacy string-dispatch loop, None (default)
     to follow the ``REPRO_PREDECODE`` environment variable.
 
-    ``specialize_hooks`` controls call-site-specialized hook dispatch on the
-    pre-decoded engine (None follows ``REPRO_SPECIALIZE_HOOKS``, default
-    on). With it disabled, hook calls take the generic host-call path —
-    the differential oracle for the specialized dispatchers.
-
     ``limits`` attaches a :class:`~repro.interp.limits.ResourceLimits`
     bundle: fuel and wall-clock deadlines are charged on back-edges and
     calls in both engines (raising ``FuelExhausted``/``DeadlineExceeded``
@@ -480,7 +469,6 @@ class Machine:
 
     def __init__(self, max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
                  predecode: bool | None = None,
-                 specialize_hooks: bool | None = None,
                  limits: ResourceLimits | None = None,
                  telemetry: "Telemetry | None" = None,
                  replay=None,
@@ -490,8 +478,6 @@ class Machine:
             max_call_depth = limits.max_call_depth
         self.max_call_depth = max_call_depth
         self.predecode = predecode_default() if predecode is None else predecode
-        self.specialize_hooks = (specialize_hooks_default()
-                                 if specialize_hooks is None else specialize_hooks)
         self.quicken = quicken_default() if quicken is None else quicken
         if pgo_profile is None:
             self.fusion_pairs: frozenset[tuple[int, int]] | None = None
@@ -782,9 +768,9 @@ class Machine:
         if replay is not None and \
                 not getattr(callee, "is_wasabi_hook", False) and \
                 not getattr(callee, "is_wasi", False):
-            # Wasabi hooks stay un-recorded: specialized OP_HOOK sites
-            # bypass this path entirely, so recording them here would make
-            # logs depend on the engine and hook-dispatch mode. WASI
+            # Wasabi hooks stay un-recorded: the pre-decoded engine's
+            # OP_HOOK sites bypass this path entirely, so recording them
+            # here would make logs depend on the engine. WASI
             # syscalls record themselves (with their memory writes) as
             # wasi_call entries and run live during replay.
             return replay.host_call(callee.name, call_args,

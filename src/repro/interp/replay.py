@@ -23,12 +23,13 @@ replay pay one ``is not None`` test per host call and nothing else.
 
 **Engine independence.** Wasabi's generated low-level hooks are host
 functions too, but they are *not* recorded: the pre-decoded engine
-dispatches them through call-site-specialized ``OP_HOOK`` sites that
-bypass the generic host-call path, so recording them would bake the
-engine choice into the log. Excluding them keeps logs replayable across
-engines — record on the pre-decoded engine, replay on the legacy one,
-and vice versa (hooks re-execute live during replay; their *faults* are
-verified, not their calls). Clock streams are consumed tolerantly
+dispatches them through site-bound ``OP_HOOK`` slots that bypass the
+generic host-call path, while the legacy engine calls them like any host
+function, so recording them would bake the engine choice into the log.
+Excluding them keeps logs replayable across engines — record on the
+pre-decoded engine, replay on the legacy one, and vice versa (hooks
+re-execute live during replay; their *faults* are verified, not their
+calls). Clock streams are consumed tolerantly
 (repeating the final reading once exhausted) because deadline-check
 cadence is engine-internal pacing, not guest-visible state; host-call and
 fault streams are strict.

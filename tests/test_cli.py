@@ -218,6 +218,26 @@ class TestRecordReplay:
         out = capsys.readouterr().out
         assert "reproduced" in out and "out of bounds" in out
 
+    def test_replay_ignores_legacy_specialize_hooks_flag(self, trap_file,
+                                                        tmp_path, capsys):
+        """Bundles from before hook binding became unconditional carry an
+        engine ``specialize_hooks`` flag; replay ignores it."""
+        crashes = tmp_path / "crashes"
+        assert main(["run", str(trap_file), "boom", "70000",
+                     "--analysis", "mix",
+                     "--crash-dir", str(crashes)]) == EXIT_TRAP
+        manifest_path = crashes / "boom" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "specialize_hooks" not in manifest["engine"]
+        manifest["engine"]["specialize_hooks"] = False
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for engine in ("predecode", "legacy"):
+            assert main(["replay", str(crashes / "boom"),
+                         "--engine", engine]) == 0
+            out = capsys.readouterr().out
+            assert "reproduced" in out and "out of bounds" in out
+
     def test_perturbed_log_diverges(self, trap_file, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         main(["run", str(trap_file), "boom", "70000", "--record", str(bundle)])

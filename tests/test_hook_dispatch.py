@@ -1,15 +1,18 @@
-"""Call-site-specialized hook dispatch (OP_HOOK fusion).
+"""Site-bound hook dispatch (OP_HOOK fusion) and its event-time oracle.
 
 The pre-decoding engine recognizes the instrumentation idiom
 ``i32.const f; i32.const i; call <hook>`` and fuses it into a pre-bound
 ``OP_HOOK`` superinstruction whose dispatcher has the Location and all
-per-site static information resolved at instantiation time. These tests
-pin down
+per-site static information resolved at instantiation time. Hook hosts
+without a site factory (linked through
+:class:`~repro.eval.overhead.EventTimeLinker`) fuse into generic
+``OP_HOOK`` slots that call the runtime's event-time dispatcher, which
+binds the same per-kind template on every event. These tests pin down
 
 * the decode-time site recording and pair-fusion interaction,
-* that the specialized path produces event streams identical to both
-  the generic pre-decoded path and the legacy string-dispatch engine
-  (differential corpus + hypothesis),
+* that the site-bound path produces event streams identical to both
+  event-time binding on the pre-decoding engine and the legacy
+  string-dispatch engine (differential corpus + hypothesis),
 * the shared no-op dispatcher for un-overridden hooks,
 * ``Analysis.used_groups()`` and ``AnalysisSession(groups=None)``
   auto-narrowing, and
@@ -23,7 +26,8 @@ from repro.core import Analysis, AnalysisSession, analyze
 from repro.core.analysis import ALL_GROUPS, Location
 from repro.core.instrument import InstrumentationConfig
 from repro.core.runtime import WasabiRuntime, _noop_dispatcher
-from repro.interp import Machine
+from repro.eval.overhead import EventTimeLinker
+from repro.interp import Linker, Machine
 from repro.interp.predecode import OP_CALL, OP_CONST, OP_HOOK, cached_decode
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
@@ -81,27 +85,39 @@ MIXED_SOURCE = """
 """
 
 
-def stream(module, machine, entry, args, groups=None, config=None):
+def hook_linker(engine: str) -> Linker:
+    """The linker of one ``ENGINES`` configuration: ``event_time`` links
+    the hook hosts without site factories, so the pre-decoding engine
+    fuses every hook site into a generic ``OP_HOOK`` slot calling the
+    host's event-time dispatcher."""
+    return EventTimeLinker(Linker()) if engine == "event_time" else Linker()
+
+
+def stream(module, machine, entry, args, groups=None, config=None,
+           engine="site_bound"):
     tracer = ExecutionTracer()
-    session = AnalysisSession(module, tracer, machine=machine,
-                              groups=groups, config=config)
+    session = AnalysisSession(module, tracer, linker=hook_linker(engine),
+                              machine=machine, groups=groups, config=config)
     session.invoke(entry, args)
     return tracer.events
 
 
+#: engine configurations: site-bound and event-time binding on the
+#: pre-decoding engine (see :func:`hook_linker`), and the legacy engine
 ENGINES = {
-    "specialized": lambda: Machine(predecode=True, specialize_hooks=True),
-    "generic": lambda: Machine(predecode=True, specialize_hooks=False),
+    "site_bound": lambda: Machine(predecode=True),
+    "event_time": lambda: Machine(predecode=True),
     "legacy": lambda: Machine(predecode=False),
 }
 
 
 def assert_streams_identical(module, entry, args, **kwargs):
-    streams = {name: stream(module, make(), entry, args, **kwargs)
+    streams = {name: stream(module, make(), entry, args, engine=name,
+                            **kwargs)
                for name, make in ENGINES.items()}
-    assert streams["specialized"], "corpus program produced no events"
-    assert streams["specialized"] == streams["generic"] == streams["legacy"]
-    return streams["specialized"]
+    assert streams["site_bound"], "corpus program produced no events"
+    assert streams["site_bound"] == streams["event_time"] == streams["legacy"]
+    return streams["site_bound"]
 
 
 class TestDifferentialCorpus:
@@ -147,20 +163,21 @@ class TestDifferentialCorpus:
 @given(minic_program(), st.integers(min_value=-8, max_value=8),
        st.integers(min_value=-8, max_value=8))
 def test_differential_hypothesis(source, a, b):
-    """Specialized and generic dispatch agree on random programs."""
+    """Site-bound and event-time dispatch agree on random programs."""
     module = compile_source(source)
     try:
-        specialized = stream(module, Machine(), "main", (a, b))
+        site_bound = stream(module, Machine(), "main", (a, b))
     except Exception as exc:
-        # traps must reproduce identically on the generic path
+        # traps must reproduce identically on the event-time path
         try:
-            stream(module, Machine(specialize_hooks=False), "main", (a, b))
-        except Exception as generic_exc:
-            assert type(generic_exc) is type(exc)
+            stream(module, Machine(), "main", (a, b), engine="event_time")
+        except Exception as event_time_exc:
+            assert type(event_time_exc) is type(exc)
             return
-        raise AssertionError("specialized path trapped, generic did not")
-    generic = stream(module, Machine(specialize_hooks=False), "main", (a, b))
-    assert specialized == generic
+        raise AssertionError("site-bound path trapped, event-time did not")
+    event_time = stream(module, Machine(), "main", (a, b),
+                        engine="event_time")
+    assert site_bound == event_time
 
 
 # -- fusion / binding internals --------------------------------------------------
@@ -188,24 +205,33 @@ class TestFusion:
     def test_instance_code_is_fused(self):
         module = compile_source(MIXED_SOURCE)
         tracer = ExecutionTracer()
-        session = AnalysisSession(
-            module, tracer, run_start=False,
-            machine=Machine(predecode=True, specialize_hooks=True))
+        session = AnalysisSession(module, tracer, run_start=False,
+                                  machine=Machine(predecode=True))
         fused = [ins for fn in session.instance.functions
                  if getattr(fn, "decoded", None) is not None
                  for ins in fn.decoded.code if ins[0] == OP_HOOK]
         assert fused
-        # every fused site skips the whole const/const/call triple
+        # every fused site skips the whole const/const/call triple and
+        # runs a closure bound to it, not the host's event-time dispatcher
         assert all(ins[3] == 3 for ins in fused)
+        assert not [ins for ins in fused if ins[1].__qualname__.startswith(
+            "_generic_hook_dispatcher")]
 
-    def test_specialization_can_be_disabled(self):
+    def test_factoryless_hosts_fuse_into_generic_sites(self):
         module = compile_source(MIXED_SOURCE)
         tracer = ExecutionTracer()
         session = AnalysisSession(module, tracer, run_start=False,
-                                  machine=Machine(specialize_hooks=False))
-        assert not [ins for fn in session.instance.functions
-                    if getattr(fn, "decoded", None) is not None
-                    for ins in fn.decoded.code if ins[0] == OP_HOOK]
+                                  linker=hook_linker("event_time"),
+                                  machine=Machine(predecode=True))
+        fused = [ins for fn in session.instance.functions
+                 if getattr(fn, "decoded", None) is not None
+                 for ins in fn.decoded.code if ins[0] == OP_HOOK]
+        assert fused
+        # the location constants are still fused in, but every site calls
+        # the host's event-time dispatcher instead of a site-bound closure
+        assert all(ins[3] == 3 for ins in fused)
+        assert all(ins[1].__qualname__.startswith("_generic_hook_dispatcher")
+                   for ins in fused)
 
 
 class TestNoopSharing:

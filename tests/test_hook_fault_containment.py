@@ -2,25 +2,32 @@
 
 The central guarantee tested here is the quarantine differential: a hook
 that raises on its Nth event must leave guest-visible results *identical*
-to an un-instrumented run, on both engines and with specialized hook
-dispatch disabled (``REPRO_SPECIALIZE_HOOKS=0`` equivalent).
+to an un-instrumented run, on both engines and with hook sites bound at
+event time on the pre-decoding engine (hook hosts without site factories).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import Analysis, AnalysisSession
+from repro.core import Analysis, AnalysisSession, instrument_module
+from repro.core.analysis import Location
+from repro.core.hooks import HOOK_MODULE
+from repro.core.runtime import WasabiRuntime
 from repro.interp import Linker, Machine
+from repro.interp.predecode import OP_HOOK
 from repro.minic import compile_source
 from repro.wasm import AnalysisAbort, AnalysisError, Trap
 
-#: (predecode, specialize_hooks) engine configurations.
-CONFIGS = [(True, True), (True, False), (False, True)]
+from .test_hook_dispatch import ENGINES, hook_linker
+
+#: engine configurations: site-bound, event-time on pre-decode, legacy.
+CONFIGS = list(ENGINES)
 
 
-def _machine(predecode: bool, specialize: bool) -> Machine:
-    return Machine(predecode=predecode, specialize_hooks=specialize)
+def _session(module, analysis, engine: str, **kwargs) -> AnalysisSession:
+    return AnalysisSession(module, analysis, linker=hook_linker(engine),
+                           machine=ENGINES[engine](), **kwargs)
 
 
 @pytest.fixture
@@ -81,9 +88,10 @@ class TestPolicies:
             AnalysisSession(work_module, Analysis(),
                             on_analysis_error="retry")
 
-    def test_raise_policy_wraps_with_location(self, work_module):
-        session = AnalysisSession(work_module, FlakyAnalysis(3),
-                                  on_analysis_error="raise")
+    @pytest.mark.parametrize("engine", CONFIGS)
+    def test_raise_policy_wraps_with_location(self, work_module, engine):
+        session = _session(work_module, FlakyAnalysis(3), engine,
+                           on_analysis_error="raise")
         with pytest.raises(AnalysisError) as excinfo:
             session.invoke("work", [10])
         err = excinfo.value
@@ -93,9 +101,10 @@ class TestPolicies:
         assert not isinstance(err, Trap)  # raise is an embedder error
         assert len(session.hook_faults) == 1
 
-    def test_abort_policy_traps_cleanly(self, work_module):
-        session = AnalysisSession(work_module, FlakyAnalysis(3),
-                                  on_analysis_error="abort")
+    @pytest.mark.parametrize("engine", CONFIGS)
+    def test_abort_policy_traps_cleanly(self, work_module, engine):
+        session = _session(work_module, FlakyAnalysis(3), engine,
+                           on_analysis_error="abort")
         with pytest.raises(AnalysisAbort) as excinfo:
             session.invoke("work", [10])
         assert isinstance(excinfo.value, Trap)
@@ -104,10 +113,11 @@ class TestPolicies:
         session.analysis.fail_at = -1  # disarm
         assert session.invoke("work", [3]) == session.invoke("work", [3])
 
-    def test_log_policy_keeps_dispatching(self, work_module, capsys):
+    @pytest.mark.parametrize("engine", CONFIGS)
+    def test_log_policy_keeps_dispatching(self, work_module, engine, capsys):
         analysis = FlakyAnalysis(2)
-        session = AnalysisSession(work_module, analysis,
-                                  on_analysis_error="log")
+        session = _session(work_module, analysis, engine,
+                           on_analysis_error="log")
         result = session.invoke("work", [10])
         assert result  # completed despite the fault
         assert len(session.hook_faults) == 1
@@ -116,10 +126,11 @@ class TestPolicies:
         assert analysis.events > 2
         assert "contained" in capsys.readouterr().err
 
-    def test_quarantine_policy_stops_dispatch(self, work_module, capsys):
+    @pytest.mark.parametrize("engine", CONFIGS)
+    def test_quarantine_policy_stops_dispatch(self, work_module, engine, capsys):
         analysis = BrokenOpAnalysis("i32.mul")
-        session = AnalysisSession(work_module, analysis,
-                                  on_analysis_error="quarantine")
+        session = _session(work_module, analysis, engine,
+                           on_analysis_error="quarantine")
         session.invoke("work", [50])
         # the first i32.mul event raised; its hook was quarantined, so the
         # count froze at the faulting event even though helper() ran 50x
@@ -128,13 +139,14 @@ class TestPolicies:
         assert len(session.hook_faults) == 1
         assert "quarantined" in capsys.readouterr().err
 
-    def test_faults_accumulate_under_log(self, work_module):
+    @pytest.mark.parametrize("engine", CONFIGS)
+    def test_faults_accumulate_under_log(self, work_module, engine):
         class AlwaysBroken(Analysis):
             def binary(self, loc, op, a, b, r):
                 raise ValueError("boom")
 
-        session = AnalysisSession(work_module, AlwaysBroken(),
-                                  on_analysis_error="log")
+        session = _session(work_module, AlwaysBroken(), engine,
+                           on_analysis_error="log")
         session.invoke("work", [5])
         assert len(session.hook_faults) > 1
         first = session.hook_faults[0]
@@ -145,21 +157,17 @@ class TestPolicies:
 class TestQuarantineDifferential:
     """Guest results under quarantine == un-instrumented results."""
 
-    @pytest.mark.parametrize("predecode,specialize", CONFIGS)
+    @pytest.mark.parametrize("engine", CONFIGS)
     @pytest.mark.parametrize("fail_at", [1, 7, 40])
-    def test_results_identical_to_uninstrumented(self, work_module,
-                                                 predecode, specialize,
+    def test_results_identical_to_uninstrumented(self, work_module, engine,
                                                  fail_at):
         args_list = [[5], [13], [40]]
-        baseline_machine = _machine(predecode, specialize)
-        baseline = baseline_machine.instantiate(work_module, Linker())
+        baseline = ENGINES[engine]().instantiate(work_module, Linker())
         expected = [baseline.invoke("work", args) for args in args_list]
         expected_mem = bytes(baseline.memory.data[:512])
 
-        session = AnalysisSession(
-            work_module, FlakyAnalysis(fail_at),
-            machine=_machine(predecode, specialize),
-            on_analysis_error="quarantine")
+        session = _session(work_module, FlakyAnalysis(fail_at), engine,
+                           on_analysis_error="quarantine")
         got = [session.invoke("work", args) for args in args_list]
         got_mem = bytes(session.instance.memory.data[:512])
 
@@ -167,9 +175,8 @@ class TestQuarantineDifferential:
         assert got_mem == expected_mem
         assert len(session.hook_faults) == 1
 
-    @pytest.mark.parametrize("predecode,specialize", CONFIGS)
-    def test_multi_hook_quarantine_is_per_hook(self, work_module,
-                                               predecode, specialize):
+    @pytest.mark.parametrize("engine", CONFIGS)
+    def test_multi_hook_quarantine_is_per_hook(self, work_module, engine):
         """Only the faulting hook is quarantined; others keep reporting."""
 
         class PartiallyBroken(BrokenOpAnalysis):
@@ -181,21 +188,18 @@ class TestQuarantineDifferential:
                 self.locals_seen += 1
 
         analysis = PartiallyBroken()
-        session = AnalysisSession(work_module, analysis,
-                                  machine=_machine(predecode, specialize),
-                                  on_analysis_error="quarantine")
+        session = _session(work_module, analysis, engine,
+                           on_analysis_error="quarantine")
         session.invoke("work", [20])
         assert analysis.counts["i32.mul"] == 1  # quarantined after 1 fault
         assert analysis.counts["i32.add"] > 20  # sibling hooks unaffected
         assert analysis.locals_seen > 20  # the local hook kept running
 
-    @pytest.mark.parametrize("predecode,specialize", CONFIGS)
-    def test_quarantine_persists_across_invokes(self, work_module,
-                                                predecode, specialize):
+    @pytest.mark.parametrize("engine", CONFIGS)
+    def test_quarantine_persists_across_invokes(self, work_module, engine):
         analysis = BrokenOpAnalysis("i32.mul")
-        session = AnalysisSession(work_module, analysis,
-                                  machine=_machine(predecode, specialize),
-                                  on_analysis_error="quarantine")
+        session = _session(work_module, analysis, engine,
+                           on_analysis_error="quarantine")
         first = session.invoke("work", [10])
         second = session.invoke("work", [10])
         assert first == second
@@ -225,3 +229,58 @@ class TestQuarantineDifferential:
         assert (instance.invoke("work", [8])
                 == baseline.invoke("work", [8]))
         assert analysis.counts["i32.mul"] == 1  # still quarantined
+
+
+class TestSiteFactoryFallback:
+    """A site whose static info is missing cannot be bound at instantiation.
+
+    ``bind_hook_sites`` then falls back to the host's event-time dispatcher,
+    so the fault surfaces at the event, inside containment, exactly as on
+    the legacy engine (which always binds at event time).
+    """
+
+    class LocalsSeen(Analysis):
+        def __init__(self):
+            self.seen = 0
+
+        def local(self, loc, op, idx, value):
+            self.seen += 1
+
+    def _run(self, module, engine: str, policy: str):
+        result = instrument_module(module, groups=frozenset({"local"}))
+        dropped = min(result.info.var_indices)
+        del result.info.var_indices[dropped]
+        analysis = self.LocalsSeen()
+        runtime = WasabiRuntime(result, analysis, on_analysis_error=policy)
+        linker = hook_linker(engine)
+        for name, host in runtime.host_functions().items():
+            linker.define(HOOK_MODULE, name, host)
+        # binding the broken site must not raise at instantiation
+        instance = ENGINES[engine]().instantiate(result.module, linker,
+                                                 run_start=False)
+        runtime.bind(instance)
+        if engine == "site_bound":
+            generic = [ins for fn in instance.functions
+                       if getattr(fn, "decoded", None) is not None
+                       for ins in fn.decoded.code if ins[0] == OP_HOOK
+                       and ins[1].__qualname__.startswith(
+                           "_generic_hook_dispatcher")]
+            assert len(generic) == 1  # only the broken site fell back
+        if policy == "raise":
+            with pytest.raises(AnalysisError):
+                instance.invoke("work", [6])
+        else:
+            baseline = Machine().instantiate(module, Linker())
+            assert instance.invoke("work", [6]) == baseline.invoke("work", [6])
+            assert analysis.seen > 0  # other local hooks kept dispatching
+        (fault,) = runtime.hook_faults
+        assert isinstance(fault.__cause__, KeyError)
+        assert fault.location == Location(*dropped)
+        return str(fault), fault.hook_name, fault.location
+
+    @pytest.mark.parametrize("policy", ["raise", "quarantine"])
+    def test_fallback_faults_identically_on_every_engine(self, work_module,
+                                                         policy):
+        faults = {engine: self._run(work_module, engine, policy)
+                  for engine in CONFIGS}
+        assert len(set(faults.values())) == 1, faults

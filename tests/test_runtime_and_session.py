@@ -5,11 +5,19 @@ import pytest
 from repro.core import (Analysis, AnalysisSession, analyze, instrument_module)
 from repro.core.hooks import HOOK_MODULE
 from repro.core.instrument import InstrumentationConfig
-from repro.core.runtime import WasabiRuntime, _present
+from repro.core.runtime import WasabiRuntime, _part_extractors
 from repro.interp import Linker, Machine
 from repro.minic import compile_source
 from repro.wasm import encode_module, validate_module
 from repro.wasm.types import F32, F64, I32, I64
+
+
+def _present(valtype, raw):
+    """One canonical value through its hook-argument form (i64 split into
+    two i32 halves) and the presented extractor of ``_part_extractors``."""
+    args = [raw & 0xFFFFFFFF, raw >> 32] if valtype is I64 else [raw]
+    _, presented = _part_extractors((valtype,))
+    return presented[0](args)
 
 
 class TestValuePresentation:
