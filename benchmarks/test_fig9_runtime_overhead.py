@@ -88,7 +88,8 @@ def test_hook_dispatch_speedup(benchmark, results_dir):
     Measures, per hook group and for 'all', the relative runtime under
     event-time binding (every event parses its location parameters and
     binds the hook there, through factory-less hook hosts) and under
-    site-bound ``OP_HOOK`` dispatch on the same PolyBench subset, then
+    site-bound dispatch (``OP_HOOK`` slots, and hook sites joined into
+    compiled segments) on the same PolyBench subset, then
     asserts that site binding removes at least half of the 'all'-hooks
     overhead:
     geomean (generic-1)/(specialized-1) >= 2. Records BENCH_hooks.json.

@@ -18,32 +18,37 @@ before invoking the user's high-level hooks.
 **One binder table, two binding times.** What each hook kind does is
 defined once, by :meth:`WasabiRuntime._binder`: a ``bind(location)``
 closure that resolves the static information and value converters of one
-location and returns the ``dispatch(args)`` closure run per event. Every
-dispatcher comes from it, bound at one of two times:
+location and returns the ``dispatch(*values)`` closure run per event
+(positional flat values, i64s split). Every dispatcher comes from it,
+bound at one of two times:
 
 * **site-bound** — the host function's ``site_factory`` attribute hands
   the pre-decoding engine a factory it calls once per fused
-  ``const/const/call`` site, so per event nothing is looked up;
+  ``const/const/call`` site, so per event nothing is looked up. The site's
+  ``OP_HOOK`` slot, or the compiled segment the site joined, calls it;
 * **event-time** — the host function's own ``fn`` reads the
   :class:`Location` from the trailing location parameters
-  (``Location(-1, -1)`` without them) and calls ``bind(location)(args)``
-  on every event. The legacy engine, modules instrumented with
-  ``emit_locations=False``, and sites whose factory raised use this path;
-  it is also the differential oracle for the site-bound one.
+  (``Location(-1, -1)`` without them) and calls ``bind(location)`` with
+  the values on every event. The legacy engine, ``emit_locations=False``
+  modules, factory-less hook hosts and sites whose factory raised use this
+  path; it is also the differential oracle for the site-bound one.
 
 Hooks whose high-level methods the analysis does not override dispatch to a
 shared no-op at both binding times.
 
-**Fault containment.** Every dispatcher runs the analysis under
-containment: an exception escaping a hook (or a bind failing for a location
-without static info) is wrapped in :class:`~repro.wasm.errors.AnalysisError`
-carrying the hook name and :class:`Location`, and then handled per the
-runtime's ``on_analysis_error`` policy — ``raise`` (propagate to the
-embedder), ``abort`` (trap the guest with
-:class:`~repro.wasm.errors.AnalysisAbort`), ``quarantine`` (atomically swap
-that hook's dispatchers — bound ``OP_HOOK`` sites included, via the host
-functions' site registries — for the shared no-op and keep the guest
-running), or ``log`` (record, report on stderr, keep dispatching).
+**Fault containment.** An exception escaping a hook (or a bind failing for
+a location without static info) is wrapped in
+:class:`~repro.wasm.errors.AnalysisError` carrying the hook name and
+:class:`Location`, and then handled per the runtime's
+``on_analysis_error`` policy — ``raise`` (propagate to the embedder),
+``abort`` (trap the guest with :class:`~repro.wasm.errors.AnalysisAbort`),
+``quarantine`` (atomically swap that hook's dispatchers — bound
+``OP_HOOK`` slots included, via the host functions' site registries — for
+the shared no-op and keep the guest running), or ``log`` (record, report
+on stderr, keep dispatching). The engine calls each site-bound dispatcher
+inside one ``try`` and hands a fault to the host's ``site_fault``, which
+builds the :class:`Location` only then; event-time dispatchers contain
+their own faults.
 """
 
 from __future__ import annotations
@@ -67,9 +72,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs → interp)
 #: Valid ``on_analysis_error`` policies.
 ERROR_POLICIES = ("raise", "abort", "quarantine", "log")
 
-Dispatcher = Callable[[list], None]
+Dispatcher = Callable[..., None]
 Binder = Callable[[Location], Dispatcher]
 SiteFactory = Callable[[int, int], Dispatcher]
+SiteFault = Callable[[Exception, int, int], None]
 
 def _hook_methods(kind: str) -> tuple[str, ...]:
     """Analysis method(s) a dispatcher for a hook kind may invoke: the one
@@ -97,11 +103,17 @@ _SIGN64 = 1 << 63
 _NO_LOCATION = Location(-1, -1)
 
 
+def _site_location(func_const: int, instr_const: int) -> Location:
+    """A site's :class:`Location` from its raw constants (the begin-function
+    hook's instr index, -1, arrives pre-masked)."""
+    return Location(func_const, to_signed(instr_const, 32))
+
+
 def _part_extractors(value_types: tuple[ValType, ...]):
     """Per logical hook value: ``(raw, presented)`` extractor pairs.
 
-    Each extractor takes the flat (post-i64-split) raw argument list and
-    returns one logical value; ``raw`` keeps the engine's canonical unsigned
+    Each extractor takes the flat (post-i64-split) raw values as a sequence
+    and returns one logical value; ``raw`` keeps the engine's canonical unsigned
     form (used for addresses and table indices), ``presented`` applies the
     Figure-5 conversion: integers become signed Python ints (the JavaScript
     ``number`` / long.js view), floats pass through. Split i64 halves are
@@ -130,13 +142,8 @@ def _part_extractors(value_types: tuple[ValType, ...]):
     return raws, presented
 
 
-def _noop_dispatcher(args: list) -> None:
+def _noop_dispatcher(*values) -> None:
     """Shared dispatcher for hooks whose analysis methods are not overridden."""
-
-
-def _noop_factory(func_const: int, instr_const: int) -> Dispatcher:
-    """Site factory of a dead hook: every site binds the shared no-op."""
-    return _noop_dispatcher
 
 
 class WasabiRuntime:
@@ -187,23 +194,23 @@ class WasabiRuntime:
         ``fn`` is the hook's event-time dispatcher. Each host function is
         also annotated for the pre-decoding engine: ``is_wasabi_hook``
         marks it void-by-construction, and (when hooks carry location
-        parameters) ``site_factory`` binds each call site at instantiation.
+        parameters) ``site_factory`` binds each call site at instantiation
+        while ``site_fault`` contains the faults of those sites.
         """
         out: dict[str, HostFunction] = {}
         for spec in self.info.hooks:
             bind = self._binder(spec)
-            if bind is None:
-                fn, factory = _noop_dispatcher, _noop_factory
-            else:
-                fn = self._timed(self._event_time(spec.name, bind), spec.name)
-                factory = self._site_factory(spec.name, bind)
+            fn = (_noop_dispatcher if bind is None else
+                  self._timed(self._event_time(spec, bind), spec.name))
             host = HostFunction(spec.functype, fn, name=spec.name)
             host.is_wasabi_hook = True
-            # every OP_HOOK site bound from this host is recorded here by
-            # bind_hook_sites, so quarantine() can swap them for the no-op
+            # the home ``(container, index)`` of every OP_HOOK slot bound
+            # from this host is recorded here by bind_hook_sites, so
+            # quarantine() can swap them for the no-op
             host.site_registry = []
             if self._with_locations:
-                host.site_factory = factory
+                host.site_factory = self._site_factory(spec.name, bind)
+                host.site_fault = self._site_fault(spec.name)
             out[spec.name] = host
         self._hosts.update(out)
         return out
@@ -218,9 +225,9 @@ class WasabiRuntime:
         wrap time, so the per-dispatch cost is two clock reads and one
         bisect. Without telemetry the dispatcher passes through untouched —
         the disabled path adds nothing. A faulting dispatch still records
-        its latency: site-bound containment wraps *outside* this, and the
-        event-time dispatcher (whose timing includes its bind) contains
-        inside it.
+        its latency: the engine's ``try`` around a site-bound dispatcher
+        sits *outside* this, and the event-time dispatcher (whose timing
+        includes its bind) contains inside it.
         """
         tele = self.telemetry
         if tele is None:
@@ -228,37 +235,16 @@ class WasabiRuntime:
         observe = tele.hook_histogram(hook_name).observe
         clock = tele.clock
 
-        def timed(args: list) -> None:
+        def timed(*values) -> None:
             start = clock()
             try:
-                inner(args)
+                inner(*values)
             finally:
                 observe(clock() - start)
 
         return timed
 
     # -- fault containment ---------------------------------------------------
-
-    def _contain(self, inner: Dispatcher, hook_name: str,
-                 location: Location) -> Dispatcher:
-        """Wrap a site-bound dispatcher so hook exceptions are contained per
-        policy.
-
-        Exceptions that are already :class:`AnalysisError` (a nested
-        contained dispatch, or an :class:`AnalysisAbort` trap in flight)
-        propagate unwrapped. ``KeyboardInterrupt``/``SystemExit`` are never
-        contained.
-        """
-
-        def contained(args: list) -> None:
-            try:
-                inner(args)
-            except AnalysisError:
-                raise
-            except Exception as exc:
-                self._hook_fault(exc, hook_name, location)
-
-        return contained
 
     def _hook_fault(self, exc: Exception, hook_name: str,
                     location: Location) -> None:
@@ -294,11 +280,13 @@ class WasabiRuntime:
         """Atomically replace every dispatcher of one hook with the no-op.
 
         Swaps the host function's ``fn`` (the event-time dispatcher) and
-        every bound ``OP_HOOK`` site recorded in its site registry. Each
+        every bound ``OP_HOOK`` slot recorded in its site registry. Each
         swap is a single reference assignment, so a swap is atomic under
-        the GIL and takes effect immediately — the engines read dispatchers
-        from the live instruction stream, so even sites reached later in
-        the *current* invocation dispatch to the no-op.
+        the GIL and takes effect immediately — the interpreter loop and
+        compiled segments both read a site's dispatcher from its slot on
+        every event, so even sites reached later in the *current*
+        invocation, and later in an already running segment, dispatch to
+        the no-op.
         """
         self._quarantined.add(hook_name)
         if self.telemetry is not None:
@@ -309,9 +297,9 @@ class WasabiRuntime:
         if host is None:
             return
         host.fn = _noop_dispatcher
-        for code, pc in host.site_registry:
-            ins = code[pc]
-            code[pc] = (ins[0], _noop_dispatcher, ins[2], ins[3])
+        for home, index in host.site_registry:
+            ins = home[index]
+            home[index] = (ins[0], _noop_dispatcher, *ins[2:])
 
     def _original_func_idx(self, instrumented_idx: int) -> int:
         """Map a function index of the instrumented module back to the
@@ -328,11 +316,10 @@ class WasabiRuntime:
         ``bind`` resolves everything constant at one location — memarg
         offset, variable index, direct-call target, branch targets,
         br_table entries, begin/end matching — and the value converters;
-        the returned ``dispatch(args)`` reads the hook's values from the
-        front of the raw argument list (trailing location parameters, when
-        present, are never read). ``bind`` raises when the location has no
-        static info. None means the hook is dead: the analysis overrides
-        none of the methods it could reach.
+        the returned ``dispatch`` takes the hook's flat (i64-split) values as
+        positional arguments, never the location parameters. ``bind``
+        raises when the location has no static info. None means the hook
+        is dead: the analysis overrides none of the methods it could reach.
         """
         analysis = self.analysis
         if not any(_overrides(analysis, method)
@@ -351,67 +338,66 @@ class WasabiRuntime:
         if kind in ("const", "drop"):
             hook = analysis.const_ if kind == "const" else analysis.drop
             if all_i32:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, (args[0] ^ _SIGN32) - _SIGN32)
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(value) -> None:
+                        hook(loc, (value ^ _SIGN32) - _SIGN32)
                     return dispatch
             elif all_float:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, args[0])
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(value) -> None:
+                        hook(loc, value)
                     return dispatch
             else:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, ((args[0] | (args[1] << 32)) ^ _SIGN64)
-                             - _SIGN64)
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(lo, hi) -> None:
+                        hook(loc, ((lo | (hi << 32)) ^ _SIGN64) - _SIGN64)
                     return dispatch
         elif kind == "select":
             hook = analysis.select
             first, second, condition = presented[0], presented[1], raws[2]
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
+            def bind(loc: Location) -> Dispatcher:
+                def dispatch(*args) -> None:
                     hook(loc, bool(condition(args)), first(args), second(args))
                 return dispatch
         elif kind == "unary":
             hook = analysis.unary
             op = payload[0]
             if all_i32:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, (args[0] ^ _SIGN32) - _SIGN32,
-                             (args[1] ^ _SIGN32) - _SIGN32)
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(inp, res) -> None:
+                        hook(loc, op, (inp ^ _SIGN32) - _SIGN32,
+                             (res ^ _SIGN32) - _SIGN32)
                     return dispatch
             elif all_float:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, args[0], args[1])
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(inp, res) -> None:
+                        hook(loc, op, inp, res)
                     return dispatch
             else:
                 inp, res = presented[0], presented[1]
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(*args) -> None:
                         hook(loc, op, inp(args), res(args))
                     return dispatch
         elif kind == "binary":
             hook = analysis.binary
             op = payload[0]
             if all_i32:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, (args[0] ^ _SIGN32) - _SIGN32,
-                             (args[1] ^ _SIGN32) - _SIGN32,
-                             (args[2] ^ _SIGN32) - _SIGN32)
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(first, second, res) -> None:
+                        hook(loc, op, (first ^ _SIGN32) - _SIGN32,
+                             (second ^ _SIGN32) - _SIGN32,
+                             (res ^ _SIGN32) - _SIGN32)
                     return dispatch
             elif all_float:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, args[0], args[1], args[2])
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(first, second, res) -> None:
+                        hook(loc, op, first, second, res)
                     return dispatch
             else:
                 first, second, res = presented[0], presented[1], presented[2]
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(*args) -> None:
                         hook(loc, op, first(args), second(args), res(args))
                     return dispatch
         elif kind in ("load", "store"):
@@ -419,66 +405,65 @@ class WasabiRuntime:
             op = payload[0]
             valtype = spec.value_types[1]  # (address, value)
             if valtype is ValType.I32:
-                def bind(loc: Location) -> Callable[[list], None]:
+                def bind(loc: Location) -> Dispatcher:
                     offset = info.memarg_offset(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, MemArg(args[0], offset),
-                             (args[1] ^ _SIGN32) - _SIGN32)
+                    def dispatch(addr, value) -> None:
+                        hook(loc, op, MemArg(addr, offset),
+                             (value ^ _SIGN32) - _SIGN32)
                     return dispatch
             elif valtype is I64:
-                def bind(loc: Location) -> Callable[[list], None]:
+                def bind(loc: Location) -> Dispatcher:
                     offset = info.memarg_offset(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, MemArg(args[0], offset),
-                             ((args[1] | (args[2] << 32)) ^ _SIGN64) - _SIGN64)
+                    def dispatch(addr, lo, hi) -> None:
+                        hook(loc, op, MemArg(addr, offset),
+                             ((lo | (hi << 32)) ^ _SIGN64) - _SIGN64)
                     return dispatch
             else:
-                def bind(loc: Location) -> Callable[[list], None]:
+                def bind(loc: Location) -> Dispatcher:
                     offset = info.memarg_offset(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, MemArg(args[0], offset), args[1])
+                    def dispatch(addr, value) -> None:
+                        hook(loc, op, MemArg(addr, offset), value)
                     return dispatch
         elif kind in ("local", "global"):
             hook = analysis.local if kind == "local" else analysis.global_
             op = payload[0]
             if all_i32:
-                def bind(loc: Location) -> Callable[[list], None]:
+                def bind(loc: Location) -> Dispatcher:
                     index = info.var_index(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, index, (args[0] ^ _SIGN32) - _SIGN32)
+                    def dispatch(value) -> None:
+                        hook(loc, op, index, (value ^ _SIGN32) - _SIGN32)
                     return dispatch
             elif all_float:
-                def bind(loc: Location) -> Callable[[list], None]:
+                def bind(loc: Location) -> Dispatcher:
                     index = info.var_index(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, index, args[0])
+                    def dispatch(value) -> None:
+                        hook(loc, op, index, value)
                     return dispatch
             else:
-                def bind(loc: Location) -> Callable[[list], None]:
+                def bind(loc: Location) -> Dispatcher:
                     index = info.var_index(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
+                    def dispatch(lo, hi) -> None:
                         hook(loc, op, index,
-                             ((args[0] | (args[1] << 32)) ^ _SIGN64)
-                             - _SIGN64)
+                             ((lo | (hi << 32)) ^ _SIGN64) - _SIGN64)
                     return dispatch
         elif kind == "memory_size":
             hook = analysis.memory_size
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, args[0])
+            def bind(loc: Location) -> Dispatcher:
+                def dispatch(pages) -> None:
+                    hook(loc, pages)
                 return dispatch
         elif kind == "memory_grow":
             hook = analysis.memory_grow
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, args[0], args[1])
+            def bind(loc: Location) -> Dispatcher:
+                def dispatch(delta, previous) -> None:
+                    hook(loc, delta, previous)
                 return dispatch
         elif kind == "call_pre":
             hook = analysis.call_pre
             if payload[0] == "indirect":
                 arg_parts = presented[1:]  # raws[0] is the raw table index
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
+                def bind(loc: Location) -> Dispatcher:
+                    def dispatch(*args) -> None:
                         table_index = args[0]
                         call_args = [part(args) for part in arg_parts]
                         target = -1
@@ -491,41 +476,40 @@ class WasabiRuntime:
                     return dispatch
             else:
                 arg_parts = presented
-                def bind(loc: Location) -> Callable[[list], None]:
+                def bind(loc: Location) -> Dispatcher:
                     target = info.call_target(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
+                    def dispatch(*args) -> None:
                         hook(loc, target, [part(args) for part in arg_parts], None)
                     return dispatch
         elif kind in ("call_post", "return"):
             hook = analysis.call_post if kind == "call_post" else analysis.return_
             parts = presented
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
+            def bind(loc: Location) -> Dispatcher:
+                def dispatch(*args) -> None:
                     hook(loc, [part(args) for part in parts])
                 return dispatch
         elif kind == "br":
             hook = analysis.br
-            def bind(loc: Location) -> Callable[[list], None]:
+            def bind(loc: Location) -> Dispatcher:
                 target = info.br_target(loc.func, loc.instr)
-                def dispatch(args: list) -> None:
+                def dispatch() -> None:
                     hook(loc, target)
                 return dispatch
         elif kind == "br_if":
             hook = analysis.br_if
-            def bind(loc: Location) -> Callable[[list], None]:
+            def bind(loc: Location) -> Dispatcher:
                 target = info.br_target(loc.func, loc.instr)
-                def dispatch(args: list) -> None:
-                    hook(loc, target, bool(args[0]))
+                def dispatch(condition) -> None:
+                    hook(loc, target, bool(condition))
                 return dispatch
         elif kind == "br_table":
             br_hook = analysis.br_table if _overrides(analysis, "br_table") else None
             end_hook = analysis.end if _overrides(analysis, "end") else None
-            def bind(loc: Location) -> Callable[[list], None]:
+            def bind(loc: Location) -> Dispatcher:
                 table_info = info.br_table_info(loc.func, loc.instr)
                 targets, default = table_info.targets, table_info.default
                 ended, n_entries = table_info.ended, len(table_info.targets)
-                def dispatch(args: list) -> None:
-                    table_index = args[0]
+                def dispatch(table_index) -> None:
                     if br_hook is not None:
                         br_hook(loc, targets, default, table_index)
                     if end_hook is not None:
@@ -535,29 +519,29 @@ class WasabiRuntime:
                 return dispatch
         elif kind == "if":
             hook = analysis.if_
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, bool(args[0]))
+            def bind(loc: Location) -> Dispatcher:
+                def dispatch(condition) -> None:
+                    hook(loc, bool(condition))
                 return dispatch
         elif kind == "begin":
             hook = analysis.begin
             block_type = payload[0]
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
+            def bind(loc: Location) -> Dispatcher:
+                def dispatch() -> None:
                     hook(loc, block_type)
                 return dispatch
         elif kind == "end":
             hook = analysis.end
             block_type = payload[0]
-            def bind(loc: Location) -> Callable[[list], None]:
+            def bind(loc: Location) -> Dispatcher:
                 begin = info.begin_location(loc.func, loc.instr, block_type)
-                def dispatch(args: list) -> None:
+                def dispatch() -> None:
                     hook(loc, block_type, begin)
                 return dispatch
         elif kind in ("nop", "unreachable"):
             hook = analysis.nop if kind == "nop" else analysis.unreachable
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
+            def bind(loc: Location) -> Dispatcher:
+                def dispatch() -> None:
                     hook(loc)
                 return dispatch
         else:  # pragma: no cover - registry only produces known kinds
@@ -566,43 +550,54 @@ class WasabiRuntime:
 
     # -- the two binding times ---------------------------------------------------
 
-    def _site_factory(self, hook_name: str, bind: Binder) -> SiteFactory:
+    def _site_factory(self, hook_name: str,
+                      bind: Binder | None) -> SiteFactory:
         """Site-bound dispatch: the factory the pre-decoding engine calls.
 
         The engine invokes it once per fused ``const/const/call`` hook site
-        with the two raw location constants, and runs ``bind(location)``
-        wrapped in timing and containment at that site from then on. A
-        factory raising (a site with no static info) makes the engine fall
-        back to the host function, which binds at event time and so faults
-        inside containment there, exactly like the legacy engine.
+        with the two raw location constants, and calls ``bind(location)``
+        (timed) at that site from then on, inside a ``try`` that hands
+        faults to :meth:`_site_fault`. A factory raising (a site with no
+        static info) makes the engine fall back to the host function, which
+        binds at event time and so faults inside containment there, exactly
+        like the legacy engine. Every site of a dead (``bind`` None) or
+        quarantined hook binds the shared no-op.
         """
         def factory(func_const: int, instr_const: int) -> Dispatcher:
-            # the begin-function hook's instr index is emitted as -1 and
-            # arrives pre-masked; the func index is always nonnegative
-            if hook_name in self._quarantined:
+            if bind is None or hook_name in self._quarantined:
                 return _noop_dispatcher
-            location = Location(func_const, to_signed(instr_const, 32))
-            return self._contain(self._timed(bind(location), hook_name),
-                                 hook_name, location)
+            return self._timed(bind(_site_location(func_const, instr_const)),
+                               hook_name)
         return factory
 
-    def _event_time(self, hook_name: str, bind: Binder) -> Dispatcher:
+    def _site_fault(self, hook_name: str) -> SiteFault:
+        """``fault(exc, func_const, instr_const)``: containment for the
+        site-bound dispatchers of one hook."""
+        def fault(exc: Exception, func_const: int, instr_const: int) -> None:
+            self._hook_fault(exc, hook_name,
+                             _site_location(func_const, instr_const))
+        return fault
+
+    def _event_time(self, spec: HookSpec, bind: Binder) -> Callable[[list], None]:
         """Event-time dispatch: the host function's own ``fn``.
 
         Reads the :class:`Location` from the trailing location parameters
-        (``Location(-1, -1)`` for modules instrumented without them) and
-        calls ``bind(location)(args)`` on every event. Binding runs inside
-        containment, so a location without static info faults like any
-        other analysis error. Binds are deliberately not memoized: this path
-        is the oracle for the site-bound one.
+        of the argument list (``Location(-1, -1)`` for modules instrumented
+        without them) and calls ``bind(location)`` with the hook's values on
+        every event. Binding runs inside containment, so a location without
+        static info faults like any other analysis error. Binds are
+        deliberately not memoized: this path is the oracle for the
+        site-bound one.
         """
+        hook_name = spec.name
         with_locations = self._with_locations
+        n_values = len(split_i64(spec.value_types))
 
         def dispatch(args: list) -> None:
-            location = (Location(args[-2], to_signed(args[-1], 32))
+            location = (_site_location(args[-2], args[-1])
                         if with_locations else _NO_LOCATION)
             try:
-                bind(location)(args)
+                bind(location)(*args[:n_values])
             except AnalysisError:
                 raise
             except Exception as exc:

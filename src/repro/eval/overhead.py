@@ -67,7 +67,8 @@ class EventTimeLinker(Linker):
 
     A hook host without a ``site_factory`` makes every ``OP_HOOK`` site of
     the pre-decoding engine fuse only its location constants and call the
-    runtime's event-time dispatcher, which binds the hook on every event.
+    runtime's event-time dispatcher, which binds the hook on every event;
+    such sites never join a compiled segment.
     """
 
     def __init__(self, base: Linker):
@@ -93,9 +94,10 @@ def instrumented_runtime(workload: Workload, config: str,
     """Instrumented runtime under one hook configuration.
 
     ``specialize`` selects the hook-binding time on the pre-decoding engine:
-    site-bound ``OP_HOOK`` dispatchers (True, what every session runs) or
-    event-time binding through factory-less hook hosts (False, the oracle
-    and the baseline of the hook-dispatch floor).
+    site-bound dispatchers, called from ``OP_HOOK`` slots and compiled
+    segments (True, what every session runs), or event-time binding
+    through factory-less hook hosts (False, the oracle and the baseline of
+    the hook-dispatch floor).
     """
     if config == "all":
         analysis = make_full_analysis()
@@ -151,8 +153,9 @@ def hook_dispatch_payload(workloads: list[Workload],
 
     For each workload and hook configuration, measures the relative runtime
     under event-time binding ("generic", before: every event parses its
-    location and binds the hook there) and under site-bound ``OP_HOOK``
-    dispatch ("specialized", after), both on the pre-decoding engine
+    location and binds the hook there) and under site-bound dispatch
+    (``OP_HOOK`` slots and compiled segments; "specialized", after), both
+    on the pre-decoding engine
     against the same uninstrumented baseline. The improvement metric is the
     ratio of *pure hook overheads* ``(R_before - 1) / (R_after - 1)``,
     which isolates the dispatch cost from the interpreter's own runtime;

@@ -29,7 +29,8 @@ import time
 import types
 from typing import TYPE_CHECKING, Sequence
 
-from ..wasm.errors import ExhaustionError, ResourceExhausted, Trap, WasmError
+from ..wasm.errors import (AnalysisError, ExhaustionError, ResourceExhausted,
+                           Trap, WasmError)
 from ..wasm.module import Function, IndexSpaces, Instr, Module
 from ..wasm.numeric import f32_round
 from ..wasm.types import FuncType, GlobalType, MemoryType, TableType, ValType
@@ -37,8 +38,9 @@ from .host import GlobalInstance, HostFunction, Linker
 from .limits import Meter, ResourceLimits, ResourceUsage
 from .memory import Memory
 from .predecode import (OP_CALL, OP_CALL_INDIRECT, OP_CALL_INDIRECT_IC,
-                        OP_CONST, OP_HOOK, DecodedFunction, cached_decode,
-                        decode_function, oob_message)
+                        OP_CONST, OP_HOOK, OP_SEGMENT, DecodedFunction,
+                        cached_decode, compile_hook_run, decode_function,
+                        oob_message)
 from .table import Table
 from .values import BINOPS, MASK32, MASK64, UNOPS, default_value
 
@@ -102,26 +104,20 @@ def _generic_hook_dispatcher(host: HostFunction, extra: tuple):
     """Per-site dispatcher for a hook import *without* a site factory.
 
     Semantically identical to executing the original const/const/call
-    sequence: the pre-fused constants are appended to the popped value args
-    and the host function is called. Wasabi-generated dispatchers
-    (``is_wasabi_hook``) are void by construction; anything else keeps the
-    strict host-result check of the generic call path.
+    sequence: the pre-fused constants are appended to the value args and
+    the host function is called with the argument list. Wasabi-generated
+    dispatchers (``is_wasabi_hook``) are void by construction; anything
+    else keeps the strict host-result check of the generic call path.
     """
     fn = host.fn
     if getattr(host, "is_wasabi_hook", False):
-        if not extra:
-            return fn
-
-        def dispatch(values: list) -> None:
-            values.extend(extra)
-            fn(values)
+        def dispatch(*values) -> None:
+            fn([*values, *extra])
 
         return dispatch
 
-    def dispatch(values: list) -> None:
-        if extra:
-            values.extend(extra)
-        raw = fn(values)
+    def dispatch(*values) -> None:
+        raw = fn([*values, *extra])
         if raw is not None:
             # a void import returning values is a host bug: reuse the strict
             # coercion path, which raises unless the result list is empty
@@ -130,27 +126,39 @@ def _generic_hook_dispatcher(host: HostFunction, extra: tuple):
     return dispatch
 
 
-def bind_hook_sites(decoded: DecodedFunction,
-                    functions: list) -> DecodedFunction:
+def bind_hook_sites(decoded: DecodedFunction, functions: list,
+                    telemetry: "Telemetry | None" = None) -> DecodedFunction:
     """Specialize a decoded stream's hook call sites for one instance.
 
     For every recorded site, the linked host function is resolved and the
     site is rewritten into an ``OP_HOOK`` superinstruction carrying a
-    pre-bound dispatcher closure:
+    pre-bound dispatcher and the host's fault handler:
 
     * hosts annotated with a ``site_factory`` (the Wasabi runtime's
-      location-aware hooks) get a closure bound to this exact call site —
-      Location, static info, and presentation converters all resolved once;
+      location-aware hooks) get a dispatcher bound to this exact call site —
+      Location, static info, and presentation converters all resolved once —
+      and the host's ``site_fault`` as the slot's fault handler;
     * any other hook import, and any site whose factory raised, gets a
-      generic closure that merely pre-fuses the constant operands (still
+      generic dispatcher that merely pre-fuses the constant operands (still
       skipping per-event marshalling) and calls the host's ``fn`` — for
-      Wasabi hooks, the runtime's event-time dispatcher.
+      Wasabi hooks, the runtime's event-time dispatcher, which contains its
+      own faults.
+
+    Each site is bound once. Every recorded hook run whose sites are all
+    factory-bound is then compiled into an ``OP_SEGMENT`` that calls those
+    same slots' dispatchers. A site that starts its run loses its code slot
+    to the segment, so its slot moves to a one-element list of its own. The
+    host's ``site_registry`` records where each site's slot lives, so
+    quarantine can swap it for the no-op. ``telemetry`` (when given) counts
+    the sites bound into segments, into ``OP_HOOK`` slots and at event time.
 
     The shared per-:class:`~repro.wasm.module.Function` decode cache is
     never mutated: the returned stream is a per-instance copy.
     """
     code = list(decoded.code)
     original = decoded.code
+    registries: dict[int, list | None] = {}
+    site_bound: set[int] = set()
     for pc in decoded.hook_sites:
         ins = original[pc]
         if ins[0] != OP_CALL:  # pragma: no cover - sites always decode to calls
@@ -160,14 +168,11 @@ def bind_hook_sites(decoded: DecodedFunction,
             continue
         n_params = ins[2]
         factory = getattr(host, "site_factory", None)
-        # hosts built by the Wasabi runtime carry a site registry so that
-        # fault containment can atomically swap bound sites for the
-        # shared no-op after a hook fault (quarantine policy)
-        registry = getattr(host, "site_registry", None)
         if (pc >= 2 and n_params >= 2
                 and original[pc - 1][0] == OP_CONST
                 and original[pc - 2][0] == OP_CONST):
-            func_const = original[pc - 2][1]
+            at = pc - 2
+            func_const = original[at][1]
             instr_const = original[pc - 1][1]
             bound = None
             if factory is not None:
@@ -178,20 +183,46 @@ def bind_hook_sites(decoded: DecodedFunction,
                     # event-time path, which fails (or not) inside
                     # containment exactly like the legacy engine
                     bound = None
-            if bound is None:
-                bound = _generic_hook_dispatcher(host, (func_const, instr_const))
-            code[pc - 2] = (OP_HOOK, bound, n_params - 2, 3)
-            if registry is not None:
-                registry.append((code, pc - 2))
+            if bound is not None:
+                slot = (OP_HOOK, bound, n_params - 2, 3, host.site_fault,
+                        func_const, instr_const)
+                site_bound.add(at)
+            else:
+                slot = (OP_HOOK,
+                        _generic_hook_dispatcher(host, (func_const, instr_const)),
+                        n_params - 2, 3, None, func_const, instr_const)
         else:
             # bare hook call (e.g. emit_locations=False): the host function
-            # is itself the per-hook dispatcher; bind it without the
-            # _invoke_callee indirection
-            code[pc] = (OP_HOOK, _generic_hook_dispatcher(host, ()), n_params, 1)
-            if registry is not None:
-                registry.append((code, pc))
+            # is itself the per-hook dispatcher
+            at = pc
+            slot = (OP_HOOK, _generic_hook_dispatcher(host, ()), n_params, 1,
+                    None, None, None)
+        code[at] = slot
+        # hosts built by the Wasabi runtime carry a site registry so that
+        # fault containment can atomically swap bound sites for the
+        # shared no-op after a hook fault (quarantine policy)
+        registries[at] = getattr(host, "site_registry", None)
+    homes: dict[int, tuple[list, int]] = {pc: (code, pc) for pc in registries}
+    joined = 0
+    for start, end in decoded.hook_runs:
+        sites = [pc for pc in range(start, end) if pc in registries]
+        if not all(pc in site_bound for pc in sites):
+            continue  # an event-time site keeps the run on OP_HOOK slots
+        if start in registries:
+            homes[start] = ([code[start]], 0)
+        fn = compile_hook_run(decoded.source_body, start, end,
+                              {pc: (*homes[pc], code[pc][2]) for pc in sites})
+        code[start] = (OP_SEGMENT, fn, end - start)
+        joined += len(sites)
+    for pc, registry in registries.items():
+        if registry is not None:
+            registry.append(homes[pc])
+    if telemetry is not None:
+        telemetry.n_hook_sites_segment += joined
+        telemetry.n_hook_sites_slot += len(site_bound) - joined
+        telemetry.n_hook_sites_event_time += len(registries) - len(site_bound)
     return DecodedFunction(code, decoded.source_body, decoded.hook_sites,
-                           decoded.indirect_sites)
+                           decoded.indirect_sites, decoded.hook_runs)
 
 
 def bind_indirect_caches(decoded: DecodedFunction,
@@ -217,7 +248,7 @@ def bind_indirect_caches(decoded: DecodedFunction,
         code[pc] = (OP_CALL_INDIRECT_IC, ins[1], ins[2], cell)
         cells.append(cell)
     return DecodedFunction(code, decoded.source_body, decoded.hook_sites,
-                           decoded.indirect_sites)
+                           decoded.indirect_sites, decoded.hook_runs)
 
 
 class WasmFunction:
@@ -262,7 +293,8 @@ class WasmFunction:
                 # referencing the same (final) code list the engine runs
                 decoded = bind_indirect_caches(decoded, instance)
             if decoded.hook_sites:
-                decoded = bind_hook_sites(decoded, instance.functions)
+                decoded = bind_hook_sites(decoded, instance.functions,
+                                          machine._telemetry)
             self.decoded: DecodedFunction | None = decoded
             if hit:
                 machine.predecode_cache_hits += 1
@@ -1051,14 +1083,22 @@ class Machine:
                     append(locals_[ins[2]])
                     pc += 2
                     continue
-                elif op == 34:  # OP_HOOK: (_, bound_dispatcher, n_args, skip)
+                elif op == 34:  # OP_HOOK: (_, dispatcher, n_args, skip,
+                    #             fault, func_const, instr_const)
                     n_params = ins[2]
                     if n_params:
                         call_args = stack[-n_params:]
                         del stack[-n_params:]
                     else:
-                        call_args = []
-                    ins[1](call_args)
+                        call_args = ()
+                    try:
+                        ins[1](*call_args)
+                    except AnalysisError:
+                        raise
+                    except Exception as exc:
+                        if ins[4] is None:
+                            raise
+                        ins[4](exc, ins[5], ins[6])
                     pc += ins[3]
                     continue
                 elif op == 4:  # OP_LOAD_INT: (_, fmt, offset, mask)

@@ -24,7 +24,9 @@ dicts. This module translates each function body *once* into a flat array of
   ``i32.const func / i32.const instr / call <hook>`` site into an
   :data:`OP_HOOK` superinstruction bound to a per-site dispatcher closure,
   so an executed hook does no location marshalling and no static-info
-  lookups (see ``repro.interp.machine.bind_hook_sites``).
+  lookups, and compiles the straight-line runs that cross such sites into
+  per-instance segments that call those dispatchers directly (see
+  ``repro.interp.machine.bind_hook_sites``).
 
 The decoded stream is cached *on the* :class:`~repro.wasm.module.Function`
 *object itself* (``func._decoded``), so re-instantiating the same module —
@@ -48,7 +50,7 @@ from struct import error as _struct_error
 from types import CodeType, FunctionType
 from typing import NamedTuple
 
-from ..wasm.errors import Trap, WasmError
+from ..wasm.errors import AnalysisError, Trap, WasmError
 from ..wasm.module import Function, IndexSpaces, Instr, Module
 from ..wasm.numeric import f32_round
 from .values import BINOPS, MASK32, MASK64, OP_HANDLERS
@@ -106,11 +108,14 @@ OP_GET2_LOCAL = 33         # (_, i, j)            — push two locals
 # Call-site-specialized hook dispatch. Decoding records *where* calls into
 # the Wasabi hook import namespace happen (``DecodedFunction.hook_sites``);
 # the machine rewrites those slots per instance into
-# ``(OP_HOOK, bound_dispatcher, n_value_args, skip)``: pop the value args,
-# call the pre-bound closure, advance ``skip`` pcs (3 when the two location
-# constants were fused in, 1 for a bare call). The const/call slots keep
-# their ordinary decoding so branches into the middle of a (never-branched-
-# into, in practice) hook sequence still behave like the source program.
+# ``(OP_HOOK, dispatcher, n_value_args, skip, fault, func, instr)``: pop the
+# value args, call the pre-bound dispatcher with them as positional
+# arguments, advance ``skip`` pcs (3 when the two location constants were
+# fused in, 1 for a bare call). ``fault(exc, func, instr)`` is the hook
+# runtime's containment path for an exception the dispatcher raised (None:
+# the exception propagates). The const/call slots keep their ordinary
+# decoding so branches into the middle of a (never-branched-into, in
+# practice) hook sequence still behave like the source program.
 OP_HOOK = 34
 
 # The profile-guided extension of the fusion menu (PR 7). Same contract as
@@ -165,7 +170,9 @@ OP_CALL_INDIRECT_IC = 56
 # dispatch executes the whole run, then skips ``span`` pcs. The covered
 # slots keep their ordinary decoding, so a branch landing inside the
 # segment executes the original (pair-fusable, quickenable) instructions —
-# the same fallback contract fused pairs honour.
+# the same fallback contract fused pairs honour. Runs that cross hook
+# sites are recorded here (``DecodedFunction.hook_runs``) and compiled per
+# instance, once the sites' dispatchers are bound.
 OP_SEGMENT = 57
 
 #: Import namespace of Wasabi's generated low-level hooks. The instrumenter
@@ -284,20 +291,25 @@ class DecodedFunction:
     ``indirect_sites`` lists the pcs of ``call_indirect`` slots on quickened
     streams — the machine rewrites those per instance into monomorphic
     inline caches (:data:`OP_CALL_INDIRECT_IC`); it is empty on unquickened
-    streams.
+    streams. ``hook_runs`` lists the ``(start, end)`` pc ranges of the
+    straight-line runs that cross hook sites, which the machine compiles
+    per instance (:func:`compile_hook_run`); it is empty on unquickened
+    streams and for uninstrumented modules.
     """
 
-    __slots__ = ("code", "source_body", "hook_sites", "indirect_sites")
+    __slots__ = ("code", "source_body", "hook_sites", "indirect_sites", "hook_runs")
 
     def __init__(
         self, code: list[tuple], source_body: list[Instr],
         hook_sites: tuple[int, ...] = (),
         indirect_sites: tuple[int, ...] = (),
+        hook_runs: tuple[tuple[int, int], ...] = (),
     ):
         self.code = code
         self.source_body = source_body
         self.hook_sites = hook_sites
         self.indirect_sites = indirect_sites
+        self.hook_runs = hook_runs
 
     def __len__(self) -> int:
         return len(self.code)
@@ -334,14 +346,9 @@ def match_blocks(body: list[Instr]) -> tuple[dict[int, int], dict[int, int | Non
     return end_of, else_of
 
 
-def _decode_instr(
-    instr: Instr,
-    pc: int,
-    module: Module,
-    spaces: IndexSpaces,
-    end_of: dict[int, int],
-    else_of: dict[int, int | None],
-) -> tuple:
+def _decode_straight(instr: Instr) -> tuple | None:
+    """Decode one instruction of the segment vocabulary (locals, constants,
+    arithmetic, loads, stores, drop); None for any other instruction."""
     op = instr.op
     handler = OP_HANDLERS.get(op)
     if handler is not None:
@@ -375,6 +382,23 @@ def _decode_instr(
     float_store = FLOAT_STORES.get(op)
     if float_store is not None:
         return (OP_STORE_FLOAT, float_store, instr.memarg.offset)
+    if op == "drop":
+        return (OP_DROP,)
+    return None
+
+
+def _decode_instr(
+    instr: Instr,
+    pc: int,
+    module: Module,
+    spaces: IndexSpaces,
+    end_of: dict[int, int],
+    else_of: dict[int, int | None],
+) -> tuple:
+    straight = _decode_straight(instr)
+    if straight is not None:
+        return straight
+    op = instr.op
     if op == "block":
         arity = 0 if instr.blocktype is None else 1
         return (OP_BLOCK, end_of[pc] + 1, arity)
@@ -413,8 +437,6 @@ def _decode_instr(
         return (OP_SET_GLOBAL, instr.idx)
     if op == "select":
         return (OP_SELECT,)
-    if op == "drop":
-        return (OP_DROP,)
     if op == "memory.size":
         return (OP_MEMORY_SIZE,)
     if op == "memory.grow":
@@ -603,6 +625,14 @@ def oob_message(width: int, addr: int, memdata, what: str) -> str:
 #: compiled segment costs about as much as the dispatches it saves.
 _SEGMENT_MIN = 4
 
+#: Most hook sites one compiled segment crosses. Instrumented code places
+#: a site every few instructions, so uncapped runs compile to long shapes
+#: that are nearly all distinct (more compiles and memory), and every call
+#: of a long segment copies its many defaults. Four sites per segment kept
+#: the analyzed PolyBench runs as fast as any larger cap, and their peak
+#: memory where it was without hook segments.
+_SEGMENT_MAX_SITES = 4
+
 #: Ops a compiled segment may contain: pure operand-stack work with no
 #: control flow, no calls, and no observable effects besides locals and
 #: linear memory — exactly the part of the stream where dispatch overhead
@@ -645,9 +675,21 @@ _CONST_SHIFTS: dict[int, tuple[int, str]] = {
     id(BINOPS["i64.shl"]): (64, "(({a} << {b}) & 0xffffffffffffffff)"),
 }
 
+def _hook_fault(exc: Exception, slot: tuple) -> None:
+    """Hand an exception raised at a segment-joined hook site to the fault
+    handler of the site's :data:`OP_HOOK` slot."""
+    slot[4](exc, slot[5], slot[6])
+
+
 #: Globals every compiled segment shares; everything else a segment refers
 #: to is one of its own parameters.
-_SEGMENT_GLOBALS = {"_se": _struct_error, "_Trap": Trap, "_oob": oob_message}
+_SEGMENT_GLOBALS = {
+    "_se": _struct_error,
+    "_Trap": Trap,
+    "_oob": oob_message,
+    "_AE": AnalysisError,
+    "_hook_fault": _hook_fault,
+}
 
 #: Entries the process-wide segment code cache holds before it is cleared.
 #: Fixed, so fuzz campaigns and long-lived serve workers, which see an
@@ -720,11 +762,20 @@ def _compile_segment(slots: list[tuple]):
     message after the same prefix of memory effects as the generic
     handlers.
 
+    A hook site in the run is the pseudo-slot ``(OP_HOOK, home, index,
+    n_args)``: its ``OP_HOOK`` slot lives at ``home[index]``, and the
+    generated code calls that slot's dispatcher with the site's values,
+    read through ``home`` on every event so a swapped slot (quarantine)
+    takes effect at the next site even inside a running segment. The call
+    sits in one ``try``: :class:`AnalysisError` propagates, any other
+    exception goes to the slot's fault handler.
+
     The generated text names no value, only the run's shape: constants
     (``c``), local indices (``l``), memarg offsets (``o``), masks (``m``),
-    access widths (``w``) and called handlers or ``Struct`` methods
-    (``f``) are parameters numbered in order of use, bound per segment as
-    defaults. The code object comes from the process-wide shape cache.
+    access widths (``w``), called handlers or ``Struct`` methods (``f``)
+    and hook slot homes and indices (``h``, ``k``) are parameters numbered
+    in order of use, bound per segment as defaults. The code object comes
+    from the process-wide shape cache.
     """
     params: list[str] = []
     values: list = []
@@ -732,7 +783,7 @@ def _compile_segment(slots: list[tuple]):
     # virtual stack entries are expressions, or a 1-tuple holding a
     # constant that has not been given a parameter yet
     vstack: list = []
-    counters = {"a": 0, "t": 0, "c": 0, "l": 0, "o": 0, "m": 0, "w": 0, "f": 0}
+    counters = {"a": 0, "t": 0, "c": 0, "l": 0, "o": 0, "m": 0, "w": 0, "f": 0, "h": 0, "k": 0}
 
     def name(kind: str) -> str:
         n = counters[kind]
@@ -837,6 +888,19 @@ def _compile_segment(slots: list[tuple]):
             emit_store(ins, masked=True)
         elif op == OP_STORE_FLOAT:
             emit_store(ins, masked=False)
+        elif op == OP_HOOK:
+            args = [vpop() for _ in range(ins[3])]
+            slot = f"{param('h', ins[1])}[{param('k', ins[2])}]"
+            lines.extend(
+                [
+                    "try:",
+                    f"    {slot}[1]({', '.join(reversed(args))})",
+                    "except _AE:",
+                    "    raise",
+                    "except Exception as _e:",
+                    f"    _hook_fault(_e, {slot})",
+                ]
+            )
         elif vstack:  # OP_DROP of a value the run produced
             vstack.pop()
         else:  # OP_DROP of an entry-stack value
@@ -864,9 +928,11 @@ def _compile_segments(code: list[tuple],
     fusion can never consume it), while the covered slots keep their
     ordinary decoding as the branch-target fallback — fusion and memory-op
     quickening still apply to them, so a branch into the middle of a
-    segment executes at fused-pair speed. Hook sites (``blocked``) never
-    join a segment; the machine's per-instance OP_HOOK rewrite stays
-    reachable.
+    segment executes at fused-pair speed. Runs stop at hook sites
+    (``blocked``): the segments crossing them are compiled per instance
+    from :func:`_hook_runs`' ranges, while these hook-free pieces stay the
+    shared stream's (and, for hook hosts without a site factory, the
+    instance's) segments.
     """
     n = len(code)
     pc = 0
@@ -881,6 +947,63 @@ def _compile_segments(code: list[tuple],
                     code[start] = (OP_SEGMENT, fn, pc - start)
         else:
             pc += 1
+
+
+def _hook_runs(
+    code: list[tuple], sites: frozenset[int] | set[int]
+) -> tuple[tuple[int, int], ...]:
+    """The ``(start, end)`` ranges of straight-line runs crossing hook sites.
+
+    ``sites`` holds the first pc of every fused ``const/const/call`` hook
+    site. A run is a sequence of segment-vocabulary slots and whole sites,
+    ended by any other slot or right after its :data:`_SEGMENT_MAX_SITES`-th
+    site: the instructions computing a site's values come just before it,
+    so cutting after a site rather than before one keeps those values
+    inside one segment. Runs without a site are left to
+    :func:`_compile_segments`; runs shorter than :data:`_SEGMENT_MIN`
+    slots are not worth compiling.
+    """
+    runs: list[tuple[int, int]] = []
+    n = len(code)
+    pc = 0
+    while pc < n:
+        if pc not in sites and code[pc][0] not in _SEGMENT_VOCAB:
+            pc += 1
+            continue
+        start = pc
+        n_sites = 0
+        while pc < n and n_sites < _SEGMENT_MAX_SITES:
+            if pc in sites:
+                n_sites += 1
+                pc += 3
+            elif code[pc][0] in _SEGMENT_VOCAB:
+                pc += 1
+            else:
+                break
+        if n_sites and pc - start >= _SEGMENT_MIN:
+            runs.append((start, pc))
+    return tuple(runs)
+
+
+def compile_hook_run(body: list[Instr], start: int, end: int, sites: dict[int, tuple]):
+    """Compile one recorded hook run of ``body`` (``DecodedFunction.hook_runs``).
+
+    ``sites`` maps the first pc of each hook site in ``[start, end)`` to
+    ``(home, index, n_args)``, where ``home[index]`` holds the site's bound
+    ``OP_HOOK`` slot. The run's other instructions are decoded again from
+    the source body, so the shared decoded stream keeps no raw copy of it.
+    """
+    slots: list[tuple] = []
+    pc = start
+    while pc < end:
+        site = sites.get(pc)
+        if site is not None:
+            slots.append((OP_HOOK, *site))
+            pc += 3
+        else:
+            slots.append(_decode_straight(body[pc]))
+            pc += 1
+    return _compile_segment(slots)
 
 
 def decode_function(func: Function, module: Module,
@@ -927,7 +1050,12 @@ def decode_function(func: Function, module: Module,
             consts = pc >= 2 and code[pc - 1][0] == OP_CONST and code[pc - 2][0] == OP_CONST
             if consts and code[pc][2] >= 2:
                 blocked.add(pc - 2)
+    hook_runs: tuple[tuple[int, int], ...] = ()
     if quicken:
+        if blocked:
+            # the sites' dispatchers exist only per instance: record where
+            # runs cross them, and leave compiling those to the machine
+            hook_runs = _hook_runs(code, blocked)
         # before fusion: the segment claims each run's first slot (so a
         # fusion pair can never swallow it), while the covered slots fall
         # through to fusion + quickening as branch-target fallbacks
@@ -939,7 +1067,7 @@ def decode_function(func: Function, module: Module,
         _quicken_slots(code)
         indirect_sites = tuple(
             pc for pc, ins in enumerate(code) if ins[0] == OP_CALL_INDIRECT)
-    return DecodedFunction(code, body, hook_sites, indirect_sites)
+    return DecodedFunction(code, body, hook_sites, indirect_sites, hook_runs)
 
 
 def cached_decode(func: Function, module: Module,

@@ -88,6 +88,10 @@ class Telemetry:
         self.n_mem_grow = 0       # executed memory.grow instructions
         self.n_replayed_host_calls = 0  # host calls served from a replay log
         self.mem_pages = 0        # last linear-memory size seen at a grow
+        # hook sites the pre-decoding engine bound at instantiation
+        self.n_hook_sites_segment = 0     # joined a compiled segment
+        self.n_hook_sites_slot = 0        # site-bound OP_HOOK slot
+        self.n_hook_sites_event_time = 0  # host's event-time dispatcher
         self._spans_folded = 0
 
     # -- recording ------------------------------------------------------------
@@ -178,6 +182,13 @@ class Telemetry:
         registry.gauge("repro_segment_code_cache_size",
                        help="segment shapes held in the code cache").set(
             segment_codes.size)
+        for binding, count in (("segment", self.n_hook_sites_segment),
+                               ("slot", self.n_hook_sites_slot),
+                               ("event_time", self.n_hook_sites_event_time)):
+            registry.gauge(
+                "repro_hook_sites", labels={"binding": binding},
+                help="hook sites bound into compiled segments, into OP_HOOK "
+                     "slots, or left to event-time binding").set(count)
         spans = self.tracer.spans
         for span in spans[self._spans_folded:]:
             registry.histogram("repro_stage_seconds",
@@ -284,7 +295,8 @@ def render_report(payload: dict, top: int = 10) -> str:
         lines.append("")
         lines.append("gauges:")
         for metric in gauges:
-            lines.append(f"  {metric.name:<32} {metric.value}")
+            label = "".join(f"{{{k}={v}}}" for k, v in metric.labels)
+            lines.append(f"  {metric.name + label:<40} {metric.value}")
 
     stages = registry.series("repro_stage_seconds")
     if any(h.count for h in stages):

@@ -16,9 +16,12 @@ binds the same per-kind template on every event. These tests pin down
 * the shared no-op dispatcher for un-overridden hooks,
 * ``Analysis.used_groups()`` and ``AnalysisSession(groups=None)``
   auto-narrowing, and
-* the ``emit_locations=False`` regression (args passed through, not copied).
+* the ``emit_locations=False`` regression (args passed through, not copied),
+* and that hook sites inside compiled segments fire in program order
+  relative to the segment's memory effects and traps.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analyses.tracer import ExecutionTracer
@@ -28,8 +31,10 @@ from repro.core.instrument import InstrumentationConfig
 from repro.core.runtime import WasabiRuntime, _noop_dispatcher
 from repro.eval.overhead import EventTimeLinker
 from repro.interp import Linker, Machine
-from repro.interp.predecode import OP_CALL, OP_CONST, OP_HOOK, cached_decode
+from repro.interp.predecode import (OP_CALL, OP_CONST, OP_HOOK, OP_SEGMENT,
+                                    cached_decode)
 from repro.minic import compile_source
+from repro.wasm import Trap
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.module import BrTable
 from repro.wasm.types import I32
@@ -178,6 +183,76 @@ def test_differential_hypothesis(source, a, b):
     event_time = stream(module, Machine(), "main", (a, b),
                         engine="event_time")
     assert site_bound == event_time
+
+
+def compiled_hook_segments(instance) -> list[tuple[list[str], list[str]]]:
+    """Per segment compiled across hook sites in ``instance``: the names of
+    the hooks its sites call, and the mnemonics of the source instructions
+    it covers."""
+    out = []
+    for fn in instance.functions:
+        decoded = getattr(fn, "decoded", None)
+        if decoded is None:
+            continue
+        body = decoded.source_body
+        for start, end in decoded.hook_runs:
+            if decoded.code[start][0] != OP_SEGMENT:
+                continue
+            hooks = [instance.functions[body[pc].idx].name
+                     for pc in decoded.hook_sites if start <= pc - 2 < end]
+            out.append((hooks, [instr.op for instr in body[start:end]]))
+    return out
+
+
+class BinaryLog(Analysis):
+    """Records every binary event as ``(location, op, result)``."""
+
+    def __init__(self):
+        self.events = []
+
+    def binary(self, loc, op, first, second, result):
+        self.events.append((loc, op, result))
+
+
+TRAP_SOURCE = """
+    memory 1;
+    export func poke(i: i32) -> i32 {
+        var x: i32 = i + 1;
+        return mem_i32[x * 65536];
+    }
+"""
+
+
+def quickened(engine: str) -> Machine:
+    """The ``ENGINES`` configuration with compiled segments on, whatever
+    ``REPRO_QUICKEN`` says (it only matters on the pre-decoding engine)."""
+    return Machine(predecode=engine != "legacy", quicken=True)
+
+
+class TestSegmentOrdering:
+    """Hook sites compiled into a segment keep their place in the run."""
+
+    def test_hook_then_out_of_bounds_load(self):
+        module = compile_source(TRAP_SOURCE)
+        outcomes = {}
+        for engine in ENGINES:
+            analysis = BinaryLog()
+            session = AnalysisSession(module, analysis,
+                                      linker=hook_linker(engine),
+                                      machine=quickened(engine))
+            if engine == "site_bound":
+                # not vacuous: a hook site and the trapping load share one
+                # compiled segment
+                assert any(hooks and "i32.load" in ops for hooks, ops
+                           in compiled_hook_segments(session.instance))
+            with pytest.raises(Trap) as excinfo:
+                session.invoke("poke", (3,))
+            outcomes[engine] = (analysis.events, str(excinfo.value))
+        events, message = outcomes["site_bound"]
+        assert [op for _, op, _ in events] == ["i32.add", "i32.mul", "i32.shl"]
+        assert "out of bounds memory access" in message
+        assert outcomes["site_bound"] == outcomes["event_time"] \
+            == outcomes["legacy"]
 
 
 # -- fusion / binding internals --------------------------------------------------

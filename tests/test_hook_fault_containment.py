@@ -4,6 +4,8 @@ The central guarantee tested here is the quarantine differential: a hook
 that raises on its Nth event must leave guest-visible results *identical*
 to an un-instrumented run, on both engines and with hook sites bound at
 event time on the pre-decoding engine (hook hosts without site factories).
+Faults at hook sites compiled into a segment must be contained exactly as
+at sites the interpreter loop dispatches, even while that segment runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from repro.interp.predecode import OP_HOOK
 from repro.minic import compile_source
 from repro.wasm import AnalysisAbort, AnalysisError, Trap
 
-from .test_hook_dispatch import ENGINES, hook_linker
+from .test_hook_dispatch import (ENGINES, compiled_hook_segments, hook_linker,
+                                 quickened)
 
 #: engine configurations: site-bound, event-time on pre-decode, legacy.
 CONFIGS = list(ENGINES)
@@ -284,3 +287,95 @@ class TestSiteFactoryFallback:
         faults = {engine: self._run(work_module, engine, policy)
                   for engine in CONFIGS}
         assert len(set(faults.values())) == 1, faults
+
+
+#: one straight-line loop body holding four ``i32.add`` sites of the same
+#: monomorphized hook (``binary_i32_add``)
+SEGMENT_SOURCE = """
+    export func run(n: i32) -> i32 {
+        var i: i32 = 0;
+        var a: i32 = 1;
+        while (i < n) {
+            a = a + i + 3 + a;
+            i = i + 1;
+        }
+        return a;
+    }
+"""
+
+
+class AddFault(Analysis):
+    """Records every binary event; raises at the ``fail_at``-th i32.add."""
+
+    def __init__(self, fail_at: int | None):
+        self.events: list = []
+        self.adds = 0
+        self.fail_at = fail_at
+
+    def binary(self, loc, op, a, b, r):
+        self.events.append((loc, op, r))
+        if op == "i32.add":
+            self.adds += 1
+            if self.adds == self.fail_at:
+                raise RuntimeError("injected analysis fault")
+
+
+class TestFaultsInsideSegments:
+    """The fault path of sites that joined a compiled segment."""
+
+    def _session(self, engine: str, analysis: Analysis, policy: str):
+        session = AnalysisSession(compile_source(SEGMENT_SOURCE), analysis,
+                                  linker=hook_linker(engine),
+                                  machine=quickened(engine),
+                                  on_analysis_error=policy)
+        if engine == "site_bound":
+            # not vacuous: several sites of the faulting hook sit in one
+            # compiled segment, so one segment pass crosses all of them
+            assert any(hooks.count("binary_i32_add") >= 2 for hooks, _
+                       in compiled_hook_segments(session.instance))
+        return session
+
+    def _outcomes(self, policy: str, fail_at: int | None) -> dict:
+        outcomes = {}
+        for engine in CONFIGS:
+            analysis = AddFault(fail_at)
+            session = self._session(engine, analysis, policy)
+            result = session.invoke("run", [5])
+            outcomes[engine] = (result, analysis.events,
+                                [(f.hook_name, f.location)
+                                 for f in session.hook_faults])
+        assert outcomes["site_bound"] == outcomes["event_time"] \
+            == outcomes["legacy"]
+        return outcomes["legacy"]
+
+    def test_quarantine_reaches_the_running_segment(self, capsys):
+        _, events, faults = self._outcomes("quarantine", fail_at=1)
+        # the first event faulted; the later add sites of the same segment
+        # pass, and every later pass, dispatch to the no-op
+        (add,) = [loc for loc, op, _ in events if op == "i32.add"]
+        assert any(op == "i32.lt_s" for _, op, _ in events)  # other hooks live
+        assert faults == [("binary_i32_add", add)]
+        assert "quarantined" in capsys.readouterr().err
+
+    def test_log_keeps_every_later_site_firing(self, capsys):
+        clean = self._outcomes("log", fail_at=None)
+        result, events, faults = self._outcomes("log", fail_at=1)
+        assert (result, events) == clean[:2]
+        assert len(faults) == 1
+        assert "contained" in capsys.readouterr().err
+
+    def test_abort_at_a_mid_segment_site(self):
+        outcomes = {}
+        for engine in CONFIGS:
+            analysis = AddFault(fail_at=2)
+            session = self._session(engine, analysis, "abort")
+            with pytest.raises(AnalysisAbort) as excinfo:
+                session.invoke("run", [5])
+            err = excinfo.value
+            outcomes[engine] = (str(err), err.hook_name, err.location,
+                                analysis.events)
+        assert outcomes["site_bound"] == outcomes["event_time"] \
+            == outcomes["legacy"]
+        _, hook_name, location, events = outcomes["legacy"]
+        assert hook_name == "binary_i32_add"
+        assert location == events[-1][0]

@@ -436,6 +436,33 @@ class TestRuntimeTelemetry:
         assert "contained" not in capsys.readouterr().err
         assert session.hook_faults  # the fault record itself is unchanged
 
+    def test_hook_site_binding_gauges(self, spin_module):
+        """Every hook site is counted once, under the binding it got."""
+        from repro.eval.overhead import EventTimeLinker
+
+        class AddsOnly(Analysis):
+            def binary(self, location, op, first, second, result):
+                pass
+
+        def sites(**kwargs) -> dict[str, int]:
+            tele = Telemetry()
+            AnalysisSession(spin_module, AddsOnly(), telemetry=tele, **kwargs)
+            return {dict(g.labels)["binding"]: g.value
+                    for g in tele.snapshot().series("repro_hook_sites")}
+
+        quickened = sites(machine=Machine(predecode=True, quicken=True))
+        assert quickened["segment"] > 0 and quickened["event_time"] == 0
+        total = sum(quickened.values())
+        # without segments (REPRO_QUICKEN=0) every site is an OP_HOOK slot
+        assert sites(machine=Machine(predecode=True, quicken=False)) == \
+            {"segment": 0, "slot": total, "event_time": 0}
+        # factory-less hook hosts bind every site at event time
+        assert sites(machine=Machine(predecode=True, quicken=True),
+                     linker=EventTimeLinker(Linker())) == \
+            {"segment": 0, "slot": 0, "event_time": total}
+        # the legacy engine binds no site ahead of its events
+        assert sum(sites(machine=Machine(predecode=False)).values()) == 0
+
     def test_stderr_printing_without_telemetry(self, fib_module, capsys):
         session = AnalysisSession(fib_module, _Raising(),
                                   on_analysis_error="log")
@@ -640,6 +667,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "repro_segment_code_cache_hits_total" in out
         assert "repro_segment_code_cache_size" in out
+
+    def test_report_shows_hook_site_bindings(self, fib_wasm, tmp_path,
+                                             capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_PREDECODE", "1")
+        monkeypatch.setenv("REPRO_QUICKEN", "1")
+        metrics = tmp_path / "m.json"
+        assert main(["run", str(fib_wasm), "main", "--analysis", "mix",
+                     "--metrics-out", str(metrics)]) == 0
+        payload = json.loads(metrics.read_text())
+        bound = {g["labels"]["binding"]: g["value"]
+                 for g in payload["metrics"]["gauges"]
+                 if g["name"] == "repro_hook_sites"}
+        assert bound["segment"] > 0
+        capsys.readouterr()
+        assert main(["report", str(metrics)]) == 0
+        assert "repro_hook_sites{binding=segment}" in capsys.readouterr().out
 
     def test_report_rejects_non_artifact(self, tmp_path, capsys):
         bogus = tmp_path / "x.json"
