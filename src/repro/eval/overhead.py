@@ -13,6 +13,7 @@ repeat, one injected clock), so sweeps are deterministic under a fake
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,21 +123,27 @@ def overhead_sweep(workload: Workload, configs: list[str] | None = None,
                    predecode: bool | None = None,
                    clock: Callable[[], float] | None = None,
                    tracer: Tracer | None = None) -> list[OverheadReport]:
-    """Relative runtime for every hook group (Figure 9's x-axis)."""
-    baseline = baseline_runtime(workload, repeats, predecode=predecode,
-                                clock=clock, tracer=tracer)
-    reports = []
-    for config in (configs or FIGURE_GROUPS):
-        elapsed = instrumented_runtime(workload, config, repeats,
-                                       predecode=predecode,
-                                       clock=clock, tracer=tracer)
-        reports.append(OverheadReport(workload.name, config, baseline, elapsed))
-    if include_all:
-        elapsed = instrumented_runtime(workload, "all", repeats,
-                                       predecode=predecode,
-                                       clock=clock, tracer=tracer)
-        reports.append(OverheadReport(workload.name, "all", baseline, elapsed))
-    return reports
+    """Relative runtime for every hook group (Figure 9's x-axis).
+
+    The uninstrumented baseline is sampled again right before each
+    configuration, and every configuration is reported against the median
+    of those samples: one slow sample cannot skew a whole column, and,
+    unlike their minimum, the median is a best-of-``repeats`` like each
+    configuration's own time, not a best of many more runs.
+    """
+    configs = list(configs or FIGURE_GROUPS) + (["all"] if include_all else [])
+    baselines: list[float] = []
+    elapsed: list[float] = []
+    for config in configs:
+        baselines.append(baseline_runtime(workload, repeats,
+                                          predecode=predecode,
+                                          clock=clock, tracer=tracer))
+        elapsed.append(instrumented_runtime(workload, config, repeats,
+                                            predecode=predecode,
+                                            clock=clock, tracer=tracer))
+    baseline = statistics.median(baselines)
+    return [OverheadReport(workload.name, config, baseline, seconds)
+            for config, seconds in zip(configs, elapsed)]
 
 
 def _geomean(values: list[float]) -> float:

@@ -149,8 +149,8 @@ def decode_instr(reader: _Reader) -> Instr:
     raise DecodeError(f"unhandled immediate kind {imm}", offset=offset)  # pragma: no cover
 
 
-#: Opcodes whose common encoding :func:`decode_expr` looks up instead of
-#: decoding: 1 for no immediate, 2 for one immediate that then fits in the
+#: Opcodes whose common encodings :func:`decode_expr` looks up instead of
+#: decoding: 1 for no immediate, 2 for one immediate that may fit in the
 #: single byte after the opcode (a one-byte LEB128, a block type, or the
 #: reserved memory index).
 _SHORT_LENGTH: dict[int, int] = {
@@ -159,16 +159,27 @@ _SHORT_LENGTH: dict[int, int] = {
     if op.imm in (opcodes.Imm.NONE, opcodes.Imm.BLOCKTYPE, opcodes.Imm.LABEL,
                   opcodes.Imm.FUNC_IDX, opcodes.Imm.LOCAL_IDX,
                   opcodes.Imm.GLOBAL_IDX, opcodes.Imm.MEM_IDX,
-                  opcodes.Imm.CONST_I32)
+                  opcodes.Imm.CONST_I32, opcodes.Imm.CONST_I64)
 }
+#: The opcodes of :data:`_SHORT_LENGTH` whose immediate is a LEB128
+#: integer, looked up also when it takes two bytes.
+_TWO_BYTE_LEB = frozenset(
+    op.byte for op in opcodes.BY_BYTE.values()
+    if op.imm in (opcodes.Imm.LABEL, opcodes.Imm.FUNC_IDX,
+                  opcodes.Imm.LOCAL_IDX, opcodes.Imm.GLOBAL_IDX,
+                  opcodes.Imm.CONST_I32, opcodes.Imm.CONST_I64))
 
 #: Shared instructions keyed by their encoding: ``byte`` for no immediate,
-#: ``byte << 8 | next`` for two-byte forms. The two-byte entries are filled
-#: from :func:`decode_instr` on first sight, so at most 128 per opcode.
+#: ``byte << 8 | next`` for one-byte immediates, ``byte << 16 | next << 8 |
+#: last`` for two-byte LEB128 immediates. Entries are filled from
+#: :func:`decode_instr` on first sight: one-byte forms always (at most 128
+#: per opcode), two-byte forms only while the table holds fewer than
+#: :data:`_INTERN_LIMIT` entries, so a long-lived process keeps it bounded.
 _INTERNED: dict[int, Instr] = {
     op.byte: Instr(op.mnemonic)
     for op in opcodes.BY_BYTE.values() if op.imm is opcodes.Imm.NONE
 }
+_INTERN_LIMIT = 1 << 14
 
 _BLOCK_START_BYTES = frozenset(op.byte for op in opcodes.BY_BYTE.values()
                                if op.is_block_start)
@@ -180,27 +191,42 @@ def decode_expr(reader: _Reader) -> list[Instr]:
 
     The returned list *excludes* the final ``end`` (it is implicit for
     initializer expressions, and function bodies re-append it). Common
-    encodings (see :data:`_SHORT_LENGTH`) are looked up and shared; every
-    other instruction goes through :func:`decode_instr`.
+    encodings (see :data:`_SHORT_LENGTH` and :data:`_TWO_BYTE_LEB`) are
+    looked up and shared; every other instruction goes through
+    :func:`decode_instr`.
     """
     data, end = reader.data, reader.end
     pos = reader.pos
     instrs: list[Instr] = []
+    interned = _INTERNED
     depth = 0
     while True:
         byte = data[pos] if pos < end else None
         length = _SHORT_LENGTH.get(byte)
+        instr = None
         if length == 1:
-            instr = _INTERNED[byte]
+            instr = interned[byte]
             pos += 1
-        elif length == 2 and pos + 1 < end and data[pos + 1] < 0x80:
-            key = byte << 8 | data[pos + 1]
-            instr = _INTERNED.get(key)
-            if instr is None:
-                reader.pos = pos
-                instr = _INTERNED[key] = decode_instr(reader)
-            pos += 2
-        else:
+        elif length == 2 and pos + 1 < end:
+            first = data[pos + 1]
+            if first < 0x80:
+                key = byte << 8 | first
+                instr = interned.get(key)
+                if instr is None:
+                    reader.pos = pos
+                    instr = interned[key] = decode_instr(reader)
+                pos += 2
+            elif (pos + 2 < end and data[pos + 2] < 0x80
+                    and byte in _TWO_BYTE_LEB):
+                key = byte << 16 | first << 8 | data[pos + 2]
+                instr = interned.get(key)
+                if instr is None:
+                    reader.pos = pos
+                    instr = decode_instr(reader)
+                    if len(interned) < _INTERN_LIMIT:
+                        interned[key] = instr
+                pos += 3
+        if instr is None:
             reader.pos = pos
             instr = decode_instr(reader)
             pos = reader.pos

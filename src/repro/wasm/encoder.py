@@ -113,11 +113,12 @@ def encode_instr(instr: Instr) -> bytes:
 
 
 # How encode_expr writes an instruction's immediate without encode_instr.
-_NO_IMM, _IDX, _LABEL, _I32, _BLOCKTYPE, _MEM_IDX = range(6)
+_NO_IMM, _IDX, _LABEL, _CONST, _BLOCKTYPE, _MEM_IDX = range(6)
 _SHORT_KIND = {
     opcodes.Imm.NONE: _NO_IMM, opcodes.Imm.FUNC_IDX: _IDX,
     opcodes.Imm.LOCAL_IDX: _IDX, opcodes.Imm.GLOBAL_IDX: _IDX,
-    opcodes.Imm.LABEL: _LABEL, opcodes.Imm.CONST_I32: _I32,
+    opcodes.Imm.LABEL: _LABEL, opcodes.Imm.CONST_I32: _CONST,
+    opcodes.Imm.CONST_I64: _CONST,
     opcodes.Imm.BLOCKTYPE: _BLOCKTYPE, opcodes.Imm.MEM_IDX: _MEM_IDX,
 }
 #: Opcode byte and immediate kind of every mnemonic encode_expr writes itself.
@@ -132,8 +133,9 @@ def encode_expr(body: list[Instr], *, terminated: bool = False) -> bytes:
     """Encode an instruction sequence, appending ``end`` unless already present.
 
     Instructions without an immediate, block types, memory indices, and
-    index, label and ``i32.const`` immediates that fit in one LEB128 byte
-    are written here; everything else goes through :func:`encode_instr`.
+    index, label, ``i32.const`` and ``i64.const`` immediates that fit in
+    one or two LEB128 bytes are written here; everything else goes through
+    :func:`encode_instr`.
     """
     out = bytearray()
     append = out.append
@@ -145,23 +147,25 @@ def encode_expr(body: list[Instr], *, terminated: bool = False) -> bytes:
             if kind == _NO_IMM:
                 append(byte)
                 continue
-            if kind == _IDX:
-                value = instr.idx
-                if type(value) is int and 0 <= value < 0x80:
+            if kind == _IDX or kind == _LABEL:
+                value = instr.idx if kind == _IDX else instr.label
+                if type(value) is int and 0 <= value < 0x4000:
                     append(byte)
-                    append(value)
+                    if value < 0x80:
+                        append(value)
+                    else:
+                        append(value & 0x7F | 0x80)
+                        append(value >> 7)
                     continue
-            elif kind == _I32:
+            elif kind == _CONST:
                 value = instr.value
-                if type(value) is int and -0x40 <= value < 0x40:
+                if type(value) is int and -0x2000 <= value < 0x2000:
                     append(byte)
-                    append(value & 0x7F)
-                    continue
-            elif kind == _LABEL:
-                value = instr.label
-                if type(value) is int and 0 <= value < 0x80:
-                    append(byte)
-                    append(value)
+                    if -0x40 <= value < 0x40:
+                        append(value & 0x7F)
+                    else:
+                        append(value & 0x7F | 0x80)
+                        append(value >> 7 & 0x7F)
                     continue
             elif kind == _BLOCKTYPE:
                 append(byte)

@@ -20,6 +20,11 @@ class ValType(enum.Enum):
     F32 = "f32"
     F64 = "f64"
 
+    # Members are singletons that compare by identity, so identity hashing
+    # agrees with equality; it runs in C, where Enum's name hash is a
+    # Python call on every dict lookup keyed by a value type.
+    __hash__ = object.__hash__
+
     @property
     def is_int(self) -> bool:
         return self in (ValType.I32, ValType.I64)

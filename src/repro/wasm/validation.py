@@ -150,9 +150,16 @@ class ExprValidator:
         return self.locals[idx]
 
     def step(self, instr: Instr) -> None:
-        """Validate one instruction, updating the abstract stacks."""
+        """Validate one instruction, updating the abstract stacks.
+
+        Fixed-signature instructions whose operands sit above the frame
+        height with exactly the expected types (almost all reachable code)
+        swap them for the results in one slice assignment; anything else
+        takes the spec-appendix path, which raises the same errors.
+        """
         self.instr_idx += 1
-        if not self.ctrls:
+        ctrls = self.ctrls
+        if not ctrls:
             raise self._error("instruction after the function's final end")
         rule = _RULES.get(instr.op)
         if rule is None:
@@ -160,11 +167,19 @@ class ExprValidator:
         if rule.__class__ is not tuple:
             rule(self, instr)
             return
-        params, results, imm = rule
-        if imm is opcodes.Imm.MEMARG or imm is opcodes.Imm.MEM_IDX:
-            self._check_memory_exists(instr)
-            if imm is opcodes.Imm.MEMARG:
-                self._check_alignment(instr)
+        params, results, memory, natural = rule
+        if memory:
+            if self.spaces.num_memories == 0:
+                raise self._error(f"{instr.op} requires a memory")
+            if natural is not None and instr.memarg.align > natural:
+                raise self._error(
+                    f"{instr.op}: alignment 2**{instr.memarg.align} exceeds "
+                    f"natural alignment 2**{natural}")
+        vals = self.vals
+        base = len(vals) - len(params)
+        if base >= ctrls[-1].height and vals[base:] == params:
+            vals[base:] = results
+            return
         self.pop_vals(params)
         self.push_vals(results)
 
@@ -233,7 +248,13 @@ class ExprValidator:
         if instr.idx >= len(func_types):
             raise self._error(f"call to out-of-range function {instr.idx}")
         functype = func_types[instr.idx]
-        self.pop_vals(functype.params)
+        params = functype.params
+        vals = self.vals
+        base = len(vals) - len(params)
+        if base >= self.ctrls[-1].height and tuple(vals[base:]) == params:
+            vals[base:] = functype.results
+            return
+        self.pop_vals(params)
         self.push_vals(functype.results)
 
     def _step_call_indirect(self, instr: Instr) -> None:
@@ -267,12 +288,25 @@ class ExprValidator:
     # variables ---------------------------------------------------------------
 
     def _step_get_local(self, instr: Instr) -> None:
-        self.push_val(self.local_type(instr.idx))
+        locals_ = self.locals
+        if instr.idx < len(locals_):
+            self.vals.append(locals_[instr.idx])
+        else:
+            self.local_type(instr.idx)  # raises
 
     def _step_set_local(self, instr: Instr) -> None:
-        self.pop_val(self.local_type(instr.idx))
+        locals_, vals = self.locals, self.vals
+        if (instr.idx < len(locals_) and len(vals) > self.ctrls[-1].height
+                and vals[-1] is locals_[instr.idx]):
+            vals.pop()
+        else:
+            self.pop_val(self.local_type(instr.idx))
 
     def _step_tee_local(self, instr: Instr) -> None:
+        locals_, vals = self.locals, self.vals
+        if (instr.idx < len(locals_) and len(vals) > self.ctrls[-1].height
+                and vals[-1] is locals_[instr.idx]):
+            return
         valtype = self.local_type(instr.idx)
         self.pop_val(valtype)
         self.push_val(valtype)
@@ -292,33 +326,6 @@ class ExprValidator:
             raise self._error(f"set_global of immutable global {instr.idx}")
         self.pop_val(globaltype.valtype)
 
-    # memory -----------------------------------------------------------------
-
-    def _check_memory_exists(self, instr: Instr) -> None:
-        if self.spaces.num_memories == 0:
-            raise self._error(f"{instr.op} requires a memory")
-
-    _NATURAL_ALIGN = {
-        "8": 0, "16": 1, "32": 2,
-    }
-
-    def _check_alignment(self, instr: Instr) -> None:
-        mnemonic = instr.op
-        if mnemonic.endswith(("8_s", "8_u", "store8")):
-            natural = 0
-        elif mnemonic.endswith(("16_s", "16_u", "store16")):
-            natural = 1
-        elif mnemonic.endswith(("32_s", "32_u", "store32")) and mnemonic.startswith("i64"):
-            natural = 2
-        elif mnemonic.startswith(("i32", "f32")):
-            natural = 2
-        else:
-            natural = 3
-        if instr.memarg.align > natural:
-            raise self._error(
-                f"{mnemonic}: alignment 2**{instr.memarg.align} exceeds natural "
-                f"alignment 2**{natural}")
-
     # -- finishing ----------------------------------------------------------------
 
     def finish(self) -> None:
@@ -327,12 +334,29 @@ class ExprValidator:
                 f"{len(self.ctrls)} unclosed block(s) at end of expression")
 
 
+def _natural_alignment(mnemonic: str) -> int:
+    """log2 of a load's or store's access width in bytes:
+    ``i64.load16_s`` → 1, ``f64.store`` → 3."""
+    prefix, access = mnemonic.split(".")
+    width = access.removeprefix("load").removeprefix("store").split("_")[0]
+    return (int(width or prefix[1:]) // 8).bit_length() - 1
+
+
 def _rule(op: opcodes.OpInfo):
-    """How :meth:`ExprValidator.step` checks ``op``: its ``(params,
-    results, immediate kind)`` if monomorphic, else its ``_step_*`` method."""
+    """How :meth:`ExprValidator.step` checks ``op``.
+
+    Monomorphic instructions get ``(params, results, needs memory, natural
+    alignment)``, with the types as lists so that ``step`` can compare and
+    replace a stack slice in place; the alignment is None unless ``op``
+    takes a memarg. Everything else gets its ``_step_*`` method.
+    """
     if op.signature is not None and op.imm not in (opcodes.Imm.LOCAL_IDX,
                                                    opcodes.Imm.GLOBAL_IDX):
-        return (*op.signature, op.imm)
+        params, results = op.signature
+        memarg = op.imm is opcodes.Imm.MEMARG
+        return (list(params), list(results),
+                memarg or op.imm is opcodes.Imm.MEM_IDX,
+                _natural_alignment(op.mnemonic) if memarg else None)
     return getattr(ExprValidator, "_step_" + op.mnemonic.replace(".", "_"))
 
 
@@ -356,8 +380,9 @@ def validate_function(module: Module, func: Function, *,
                               func_idx=func_idx, spaces=spaces)
     if not func.body or func.body[-1].op != "end":
         raise ValidationError("function body must be terminated by end")
+    step = validator.step
     for instr in func.body:
-        validator.step(instr)
+        step(instr)
     validator.finish()
 
 

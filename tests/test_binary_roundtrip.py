@@ -7,6 +7,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.instrument import InstrumentationConfig
 from repro.eval.timing import instrument_binary
 from repro.wasm import (DecodeError, Instr, Limits, Module, decode_module,
                         encode_module, opcodes, validate_module)
@@ -211,10 +212,10 @@ class TestCorpusRoundtrip:
             roundtrip(program.module)
 
 
-_U32_BOUNDARY = [0, 1, 63, 64, 127, 128, 255, 16383, 16384, 2 ** 31 - 1,
-                 2 ** 31, 2 ** 32 - 1]
+_U32_BOUNDARY = [0, 1, 63, 64, 127, 128, 255, 8191, 8192, 16383, 16384,
+                 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1]
 _S_BOUNDARY = [0, 1, -1, 63, 64, -64, -65, 127, 128, -128, -129,
-               2 ** 31 - 1, -2 ** 31]
+               -8193, -8192, 8191, 8192, 2 ** 31 - 1, -2 ** 31]
 
 
 def _leb_variants(value: int, signed: bool) -> list[bytes]:
@@ -360,6 +361,38 @@ class TestFastPathDifferential:
             assert _same_instr(decode_expr(_Reader(raw + ends))[0],
                                decode_instr(_Reader(raw)))
 
+    @pytest.mark.parametrize("op", sorted(
+        op.mnemonic for op in opcodes.BY_NAME.values()
+        if op.imm in (opcodes.Imm.LABEL, opcodes.Imm.FUNC_IDX,
+                      opcodes.Imm.LOCAL_IDX, opcodes.Imm.GLOBAL_IDX,
+                      opcodes.Imm.CONST_I32, opcodes.Imm.CONST_I64)))
+    def test_two_byte_and_redundant_immediates(self, op):
+        info = opcodes.BY_NAME[op]
+        signed = info.imm in (opcodes.Imm.CONST_I32, opcodes.Imm.CONST_I64)
+        values = _S_BOUNDARY if signed else _U32_BOUNDARY
+        # every value up to three LEB128 bytes, canonical and padded
+        # (``0x80 0x00`` is zero in two bytes)
+        encodings = [leb for value in values
+                     for leb in _leb_variants(value, signed) if len(leb) <= 3]
+        assert b"\x80\x00" in encodings
+        assert {len(leb) for leb in encodings} == {1, 2, 3}
+        for leb in encodings:
+            raw = bytes([info.byte]) + leb
+            plain = decode_instr(_Reader(raw))
+            for _ in range(2):  # first sight, then the shared entry
+                (fast,) = decode_expr(_Reader(raw + b"\x0b"))
+                assert _same_instr(fast, plain)
+            assert encode_expr([plain], terminated=True) == encode_instr(plain)
+
+    def test_two_byte_interning_is_bounded(self, monkeypatch):
+        from repro.wasm import decoder
+        limit = len(decoder._INTERNED) + 10
+        monkeypatch.setattr(decoder, "_INTERN_LIMIT", limit)
+        for value in range(1000, 1100):
+            raw = bytes([0x41]) + encode_signed(value) + b"\x0b"
+            assert decode_expr(_Reader(raw))[0].value == value
+        assert len(decoder._INTERNED) <= limit
+
 
 #: SHA-256 of the instrumented bytes (decode, instrument every hook group,
 #: encode) of each program. Any change to the decoder, instrumenter or
@@ -450,6 +483,36 @@ class TestInstrumentedBytesPinned:
     def test_every_program_is_pinned(self):
         assert sorted(name for name, _ in _instrument_inputs()) == \
             sorted(INSTRUMENTED_DIGESTS)
+
+
+#: SHA-256 of the instrumented bytes under selective instrumentation, for
+#: three group sets on one real-world stand-in and one PolyBench kernel.
+SELECTIVE_DIGESTS = {
+    (("call", "return"), "pdf_toolkit"):
+        "f8595f7c5fed6d36b6d90e5c4c38da30e0a265d2824c67bfe7b93dc73e14f7e1",
+    (("call", "return"), "polybench/gemm"):
+        "dc604da78f55755083a450bdeef93f42cafef4b211182dd9337283395ba06456",
+    (("load", "store"), "pdf_toolkit"):
+        "b44fb7aa3676b57c8554890db2eebfde803d2a01b1b3aa6e34a96510625fffa7",
+    (("load", "store"), "polybench/gemm"):
+        "21d134ff73bbe43060bb1a3ee40fcb98f60a32d1c30973c367205b8e2532cee4",
+    (("binary", "local"), "pdf_toolkit"):
+        "6e0edecf132de2f97ecaea5b44bf2c4d6c6d7a9be15878148e2550794d7babd4",
+    (("binary", "local"), "polybench/gemm"):
+        "18f6e4b74674edc2d04c1b960100c1ae7db6f439756c29c7792f09b15b05153a",
+}
+_SELECTIVE_INPUTS = {"pdf_toolkit": lambda: pdf_toolkit(1.0),
+                     "polybench/gemm": lambda: compile_kernel("gemm")}
+
+
+class TestSelectiveBytesPinned:
+    @pytest.mark.parametrize("groups,name", sorted(SELECTIVE_DIGESTS),
+                             ids=[f"{'+'.join(groups)}-{name}"
+                                  for groups, name in sorted(SELECTIVE_DIGESTS)])
+    def test_digest(self, groups, name):
+        config = InstrumentationConfig(groups=frozenset(groups))
+        out = instrument_binary(encode_module(_SELECTIVE_INPUTS[name]()), config)
+        assert hashlib.sha256(out).hexdigest() == SELECTIVE_DIGESTS[groups, name]
 
 
 @st.composite

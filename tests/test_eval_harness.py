@@ -67,6 +67,23 @@ class TestTimingAndOverhead:
         assert by_config["binary"].relative_runtime > \
             by_config["nop"].relative_runtime * 0.8
 
+    def test_slow_first_baseline_sample_does_not_skew_the_sweep(self):
+        workload = polybench_workloads(["trisolv"])[0]
+        # one span per sample, in sweep order: baseline, then the
+        # configuration, for nop, binary and all; the first baseline
+        # sample is five times slower than the median of the three
+        durations = [10.0, 2.0, 1.0, 4.0, 2.0, 8.0]
+        stamps, now = [], 0.0
+        for seconds in durations:
+            stamps += [now, now + seconds]
+            now += seconds
+        clock = iter(stamps).__next__
+        reports = overhead_sweep(workload, ["nop", "binary"], repeats=1,
+                                 clock=clock)
+        assert [r.config for r in reports] == ["nop", "binary", "all"]
+        assert [r.baseline_seconds for r in reports] == [2.0, 2.0, 2.0]
+        assert [r.relative_runtime for r in reports] == [1.0, 2.0, 4.0]
+
     def test_overhead_report_math(self):
         report = OverheadReport("x", "all", 1.0, 42.0)
         assert report.relative_runtime == 42.0

@@ -162,6 +162,28 @@ class TestParallelInstrumentation:
         assert abs(len(encode_module(sequential.module))
                    - len(encode_module(parallel.module))) < 200
 
+    def test_parallel_under_frequent_thread_switches(self):
+        """Threads share the run's hook registry and its caches of
+        templates and bound hook calls; a lost or duplicated update shows
+        as a differing hook set or an invalid module."""
+        import sys
+        from repro.workloads import pdf_toolkit
+        module = pdf_toolkit()
+        sequential = instrument_module(module)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = instrument_module(
+                module, config=InstrumentationConfig(parallel_workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        validate_module(parallel.module)
+        assert sorted(s.name for s in parallel.info.hooks) == \
+            sorted(s.name for s in sequential.info.hooks)
+        assert parallel.module.instruction_count() == \
+            sequential.module.instruction_count()
+        assert parallel.info.call_targets == sequential.info.call_targets
+
     def test_parallel_runs_faithfully(self):
         from repro.workloads import pdf_toolkit
         from repro.eval import make_full_analysis
